@@ -444,7 +444,9 @@ and compile_call env f args : cexpr =
         fun t ->
           let p = Value.as_ptr (arg 0 t) in
           let v = arg 1 t in
-          Memory.atomic_rmw t.blk.mem p (fun old -> combine old v)
+          Memory.update t.blk.mem p.buf p.off
+            (fun old combine v -> combine old v)
+            combine v
       else
         let loc = env.cur_loc in
         fun t ->
@@ -459,8 +461,10 @@ and compile_call env f args : cexpr =
         fun t ->
           let p = Value.as_ptr (arg 0 t) in
           let cmp = arg 1 t and v = arg 2 t in
-          Memory.atomic_rmw t.blk.mem p (fun old ->
+          Memory.update t.blk.mem p.buf p.off
+            (fun old cmp v ->
               if Value.as_int old = Value.as_int cmp then v else old)
+            cmp v
       else
         let loc = env.cur_loc in
         fun t ->

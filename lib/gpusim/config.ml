@@ -6,12 +6,15 @@
     effects (launch congestion, hardware underutilization, divergence), not
     the absolute values. All times are in cycles of a nominal SM clock. *)
 
-(** Which execution engine runs device code. [Closure] is the original
-    closure-tree interpreter ({!Compile}/{!Exec}); [Bytecode] lowers kernel
-    bodies to a flat instruction array over an unboxed register file
-    ({!Bytecode}/{!Vm}). Both engines are semantically identical — the
-    cross-engine differential suite pins bit-identical memory dumps and
-    launch metrics — but bytecode avoids per-step boxing and fibers. *)
+(** Which execution engine runs device code. [Bytecode], the default,
+    lowers kernel bodies to a flat instruction array over an unboxed
+    register file ({!Bytecode}/{!Vm}) whose loads and stores go straight
+    to {!Memory}'s unboxed lanes; [Closure] is the original closure-tree
+    interpreter ({!Compile}/{!Exec}), kept as the second implementation
+    the differential suites compare against. Both engines are
+    semantically identical — the cross-engine differential suite pins
+    bit-identical memory dumps and launch metrics — but bytecode avoids
+    per-step boxing and fibers. *)
 type engine = Closure | Bytecode
 
 let pp_engine ppf = function
@@ -115,7 +118,7 @@ type t = {
 
 let default =
   {
-    engine = Closure;
+    engine = Bytecode;
     block_jobs = 1;
     sampling = None;
     num_sms = 32;

@@ -6,10 +6,11 @@
     underutilization, divergence), not the absolute values. All times are
     cycles of a nominal SM clock. *)
 
-(** Which execution engine runs device code: the closure-tree interpreter
-    ([Compile]/[Exec]) or the flat bytecode/register VM ([Bytecode]/[Vm]).
-    Semantics are identical (pinned by the cross-engine differential
-    suite); bytecode avoids per-step boxing and fibers. *)
+(** Which execution engine runs device code: the flat bytecode/register
+    VM ([Bytecode]/[Vm], the default) or the closure-tree interpreter
+    ([Compile]/[Exec]). Semantics are identical (pinned by the
+    cross-engine differential suite); bytecode avoids per-step boxing and
+    fibers, and its device loads and stores allocate nothing. *)
 type engine = Closure | Bytecode
 
 val pp_engine : Format.formatter -> engine -> unit

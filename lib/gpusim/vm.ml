@@ -2,9 +2,12 @@
 
     Executes lowered MiniCU over unboxed per-thread register banks: a tag
     byte per register (unit/int/float/bool/dim3/ptr) with payload lanes in
-    parallel [int] and [float] arrays. Values are boxed only at the
-    engine's edges — memory loads/stores, kernel arguments, launch
-    requests, warp collectives — and on coercion-error paths.
+    parallel [int] and [float] arrays. Device loads and stores move values
+    between these lanes and {!Memory}'s unboxed arrays ({!Memory.lane}
+    for loads, {!Memory.store_int} and its siblings for stores).
+    Values are boxed only at the engine's edges — kernel arguments,
+    atomics, launch requests, warp collectives, boxed or spilled memory
+    elements — and on coercion-error paths.
 
     The interpreter dispatches on the packed word stream
     ([Bytecode.bp_ops]): an opcode word followed by its operand words, so
@@ -152,10 +155,12 @@ let[@inline] set_dim3_v t r x y z =
   Array.unsafe_set t.ib r y;
   Array.unsafe_set t.ic r z
 
-let[@inline] set_ptr t r (p : Value.ptr) =
+let[@inline] set_ptr_v t r buf off =
   set_tag t r tag_ptr;
-  Array.unsafe_set t.ia r p.buf;
-  Array.unsafe_set t.ib r p.off
+  Array.unsafe_set t.ia r buf;
+  Array.unsafe_set t.ib r off
+
+let[@inline] set_ptr t r (p : Value.ptr) = set_ptr_v t r p.buf p.off
 
 let box t r : Value.t =
   match tag_of t r with
@@ -202,10 +207,10 @@ let get_bool t r =
   | 2 -> getf t r <> 0.0
   | _ -> Value.error "expected a bool, got %a" Value.pp (box t r)
 
-let get_ptr t r : Value.ptr =
-  match tag_of t r with
-  | 5 -> { buf = geti t r; off = Array.unsafe_get t.ib r }
-  | _ -> Value.error "expected a pointer, got %a" Value.pp (box t r)
+(* A pointer register's lanes are read in place ([geti] = buffer id,
+   [getib] = offset) once [need_ptr] has checked its tag. *)
+let ptr_error t r = Value.error "expected a pointer, got %a" Value.pp (box t r)
+let[@inline] need_ptr t r = if tag_of t r <> tag_ptr then ptr_error t r
 
 let get_dim3 t r =
   match tag_of t r with
@@ -217,42 +222,71 @@ let get_dim3 t r =
 (* Cost charging and sanitizer hooks (mirroring {!Compile})            *)
 (* ------------------------------------------------------------------ *)
 
-let charge_tag (t : thread) idx (c : float) =
+(* Inlined so [c], read from the float pool, is never boxed. *)
+let[@inline] charge_tag (t : thread) idx (c : float) =
   let idx = if idx = Metrics.tag_default then t.default_idx else idx in
   Array.unsafe_set t.costs idx (Array.unsafe_get t.costs idx +. c);
   Array.unsafe_set t.tot 0 (Array.unsafe_get t.tot 0 +. c)
 
-let check_access (t : thread) ~kind ~loc (ptr : Value.ptr) =
+let check_access (t : thread) ~kind ~loc buf off =
   match t.blk.Compile.racecheck with
   | None -> ()
   | Some rc ->
       let x, y, z = t.tidx in
       let bx, by, _ = t.blk.Compile.bdim in
       let tid = x + (y * bx) + (z * bx * by) in
-      Racecheck.record rc ~tid ~kind ~loc ptr
+      Racecheck.record rc ~tid ~kind ~loc { Value.buf; off }
 
 let access_failed (t : thread) ~loc msg =
   t.blk.Compile.metrics.Metrics.oob_detected <-
     t.blk.Compile.metrics.Metrics.oob_detected + 1;
   raise (Value.Runtime_error (Fmt.str "%a: %s" Minicu.Loc.pp loc msg))
 
-let checked_load (t : thread) ~loc ptr =
-  try Memory.load t.blk.Compile.mem ptr
+let checked_load (t : thread) ~loc buf off =
+  try Memory.load_at t.blk.Compile.mem buf off
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
-let checked_store (t : thread) ~loc ptr v =
-  try Memory.store t.blk.Compile.mem ptr v
+let checked_store (t : thread) ~loc buf off v =
+  try Memory.store_at t.blk.Compile.mem buf off v
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
-let dim3_member (x, y, z) = function
+(* Device memory <-> register, lane to lane: a load or store allocates
+   only when the element is boxed, spilled, or a NaN float. *)
+
+let load_into t d mem buf off =
+  match Memory.lane mem buf off with
+  | `Ints a -> set_int t d (Array.unsafe_get a off)
+  | `Floats a ->
+      let f = Array.unsafe_get a off in
+      (* NaN may be the lane's encoding of [Int 0]: let Memory decode it *)
+      if f = f then set_float t d f
+      else set_value t d (Memory.load_at mem buf off)
+  | `Ptrs a ->
+      let w = Array.unsafe_get a off in
+      if w < 0 then set_int t d 0
+      else set_ptr_v t d (Memory.ptr_buf w) (Memory.ptr_off w)
+  | `Zero -> set_int t d 0
+  | `Boxed a -> set_value t d (Array.unsafe_get a off)
+  | `Spilled -> set_value t d (Memory.load_at mem buf off)
+
+let store_from t mem buf off r =
+  match tag_of t r with
+  | 1 -> Memory.store_int mem buf off (geti t r)
+  | 2 -> Memory.store_float mem buf off t.fa r
+  | 5 -> Memory.store_ptr mem buf off (geti t r) (getib t r)
+  | _ -> Memory.store_at mem buf off (box t r)
+
+let dim3_field x y z = function
   | "x" -> x
   | "y" -> y
   | "z" -> z
   | f -> Value.error "dim3 has no member %S" f
 
 (* Atomic combine — the exact expressions of the closure engine's
-   [compile_call], so coercion order (and failure order) is identical. *)
-let atomic_combine (aop : atomic) (old : Value.t) (v : Value.t) : Value.t =
+   [compile_call], so coercion order (and failure order) is identical.
+   Argument order fits {!Memory.update}, which takes it as a closed
+   function. *)
+let atomic_combine (old : Value.t) (aop : atomic) (v : Value.t) : Value.t =
   match aop with
   | A_add -> Compile.eval_binop Minicu.Ast.Add old v
   | A_sub -> Compile.eval_binop Minicu.Ast.Sub old v
@@ -265,6 +299,9 @@ let atomic_combine (aop : atomic) (old : Value.t) (v : Value.t) : Value.t =
         Value.Float (Float.max (Value.as_float old) (Value.as_float v))
       else Value.Int (max (Value.as_int old) (Value.as_int v))
   | A_exch -> v
+
+let cas_combine (old : Value.t) (cmpv : Value.t) (v : Value.t) : Value.t =
+  if Value.as_int old = Value.as_int cmpv then v else old
 
 (* Decode tables — inverses of the [Bytecode] [*_code] encoders. *)
 
@@ -403,7 +440,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) x y z;
         go (pc + 3)
     | 7 (* special.comp *) ->
-        let dims =
+        let x, y, z =
           match wd ops (pc + 2) with
           | 0 -> t.tidx
           | 1 -> t.blk.Compile.bidx
@@ -411,15 +448,15 @@ let interp (p : Bytecode.prog) (t : thread) =
           | _ -> t.blk.Compile.gdim
         in
         let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
-        set_int t (b + wd ops (pc + 1)) (dim3_member dims f);
+        set_int t (b + wd ops (pc + 1)) (dim3_field x y z f);
         go (pc + 4)
     | 8 (* member *) ->
         (let r = b + wd ops (pc + 2) in
          let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
          let d = b + wd ops (pc + 1) in
          match tag_of t r with
-         | 4 -> set_int t d (dim3_member (geti t r, getib t r, getic t r) f)
-         | 1 -> set_int t d (dim3_member (geti t r, 1, 1) f)
+         | 4 -> set_int t d (dim3_field (geti t r) (getib t r) (getic t r) f)
+         | 1 -> set_int t d (dim3_field (geti t r) 1 1 f)
          | _ ->
              Value.error "member access %S on non-dim3 %a" f Value.pp (box t r));
         go (pc + 4)
@@ -601,7 +638,9 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) x y z;
         go (pc + 3)
     | 22 (* as_ptr *) ->
-        set_ptr t (b + wd ops (pc + 1)) (get_ptr t (b + wd ops (pc + 2)));
+        let r = b + wd ops (pc + 2) in
+        need_ptr t r;
+        copy_reg t (b + wd ops (pc + 1)) r;
         go (pc + 3)
     | 23 (* dim3 *) ->
         (* Operands are [cast.int] results, so the coercions cannot fail;
@@ -612,41 +651,42 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) vx vy vz;
         go (pc + 5)
     | 24 (* load *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
-        let off = get_int t (b + wd ops (pc + 3)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
-        set_value t (b + wd ops (pc + 1)) (Memory.load t.blk.Compile.mem ptr);
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 3)) in
+        load_into t (b + wd ops (pc + 1)) t.blk.Compile.mem (geti t rp) off;
         go (pc + 4)
     | 25 (* load.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
-        let off = get_int t (b + wd ops (pc + 3)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 3)) in
+        let buf = geti t rp in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
-        check_access t ~kind:Racecheck.Read ~loc ptr;
-        set_value t (b + wd ops (pc + 1)) (checked_load t ~loc ptr);
+        check_access t ~kind:Racecheck.Read ~loc buf off;
+        (try load_into t (b + wd ops (pc + 1)) t.blk.Compile.mem buf off
+         with Value.Runtime_error msg -> access_failed t ~loc msg);
         go (pc + 5)
     | 26 (* store *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
-        let v = box t (b + wd ops (pc + 3)) in
-        Memory.store t.blk.Compile.mem ptr v;
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 2)) in
+        store_from t t.blk.Compile.mem (geti t rp) off (b + wd ops (pc + 3));
         go (pc + 4)
     | 27 (* store.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
-        let v = box t (b + wd ops (pc + 3)) in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 2)) in
+        let buf = geti t rp in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
-        check_access t ~kind:Racecheck.Write ~loc ptr;
-        checked_store t ~loc ptr v;
+        check_access t ~kind:Racecheck.Write ~loc buf off;
+        (try store_from t t.blk.Compile.mem buf off (b + wd ops (pc + 3))
+         with Value.Runtime_error msg -> access_failed t ~loc msg);
         go (pc + 5)
     | 28 (* addr *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
-        let off = get_int t (b + wd ops (pc + 3)) in
-        set_ptr t
-          (b + wd ops (pc + 1))
-          { ptr with Value.off = ptr.Value.off + off };
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 3)) in
+        set_ptr_v t (b + wd ops (pc + 1)) (geti t rp) off;
         go (pc + 4)
     | 29 (* min *) ->
         (let ra = b + wd ops (pc + 2) and rb = b + wd ops (pc + 3) in
@@ -699,42 +739,49 @@ let interp (p : Bytecode.prog) (t : thread) =
         go (pc + 4)
     | 34 (* atomic *) ->
         let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
-        let ptr = get_ptr t (b + wd ops (pc + 3)) in
+        let rp = b + wd ops (pc + 3) in
+        need_ptr t rp;
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.atomic_rmw t.blk.Compile.mem ptr (fun old ->
-              atomic_combine aop old v)
+          Memory.update t.blk.Compile.mem (geti t rp) (getib t rp)
+            atomic_combine aop v
         in
         set_value t (b + wd ops (pc + 2)) old;
         go (pc + 5)
     | 35 (* atomic.chk *) ->
         let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
-        let ptr = get_ptr t (b + wd ops (pc + 3)) in
+        let rp = b + wd ops (pc + 3) in
+        need_ptr t rp;
+        let buf = geti t rp and off = getib t rp in
         let v = box t (b + wd ops (pc + 4)) in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
-        check_access t ~kind:Racecheck.Atomic ~loc ptr;
-        let old = checked_load t ~loc ptr in
-        checked_store t ~loc ptr (atomic_combine aop old v);
+        check_access t ~kind:Racecheck.Atomic ~loc buf off;
+        let old = checked_load t ~loc buf off in
+        checked_store t ~loc buf off (atomic_combine old aop v);
         set_value t (b + wd ops (pc + 2)) old;
         go (pc + 6)
     | 36 (* cas *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
         let cmpv = box t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.atomic_rmw t.blk.Compile.mem ptr (fun old ->
-              if Value.as_int old = Value.as_int cmpv then v else old)
+          Memory.update t.blk.Compile.mem (geti t rp) (getib t rp) cas_combine
+            cmpv v
         in
         set_value t (b + wd ops (pc + 1)) old;
         go (pc + 5)
     | 37 (* cas.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let buf = geti t rp and off = getib t rp in
         let cmpv = box t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
-        check_access t ~kind:Racecheck.Atomic ~loc ptr;
-        let old = checked_load t ~loc ptr in
-        if Value.as_int old = Value.as_int cmpv then checked_store t ~loc ptr v;
+        check_access t ~kind:Racecheck.Atomic ~loc buf off;
+        let old = checked_load t ~loc buf off in
+        if Value.as_int old = Value.as_int cmpv then
+          checked_store t ~loc buf off v;
         set_value t (b + wd ops (pc + 1)) old;
         go (pc + 6)
     | 38 (* malloc *) ->
@@ -856,10 +903,11 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) x y z;
         go (pc + 7)
     | 50 (* mload.dim3 *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 4)) in
-        let off = get_int t (b + wd ops (pc + 5)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
-        let v = Memory.load t.blk.Compile.mem loc_ptr in
+        let rp = b + wd ops (pc + 4) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 5)) in
+        let buf = geti t rp in
+        let v = Memory.load_at t.blk.Compile.mem buf off in
         let x, y, z =
           match v with
           | Value.Dim3 d -> d
@@ -871,12 +919,13 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_int t (b + wd ops (pc + 3)) z;
         go (pc + 6)
     | 51 (* mload.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 4)) in
-        let off = get_int t (b + wd ops (pc + 5)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 4) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 5)) in
+        let buf = geti t rp in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 6)) in
-        check_access t ~kind:Racecheck.Write ~loc loc_ptr;
-        let v = checked_load t ~loc loc_ptr in
+        check_access t ~kind:Racecheck.Write ~loc buf off;
+        let v = checked_load t ~loc buf off in
         let x, y, z =
           match v with
           | Value.Dim3 d -> d
@@ -888,9 +937,10 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_int t (b + wd ops (pc + 3)) z;
         go (pc + 7)
     | 52 (* mstore.dim3 *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 2)) in
+        let buf = geti t rp in
         let n = get_int t (b + wd ops (pc + 7)) in
         let x = geti t (b + wd ops (pc + 4))
         and y = geti t (b + wd ops (pc + 5))
@@ -902,12 +952,13 @@ let interp (p : Bytecode.prog) (t : thread) =
           | "z" -> (x, y, n)
           | f -> Value.error "dim3 has no member %S" f
         in
-        Memory.store t.blk.Compile.mem loc_ptr (Value.Dim3 d);
+        Memory.store_at t.blk.Compile.mem buf off (Value.Dim3 d);
         go (pc + 8)
     | 53 (* mstore.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let off = getib t rp + get_int t (b + wd ops (pc + 2)) in
+        let buf = geti t rp in
         let n = get_int t (b + wd ops (pc + 7)) in
         let x = geti t (b + wd ops (pc + 4))
         and y = geti t (b + wd ops (pc + 5))
@@ -920,7 +971,7 @@ let interp (p : Bytecode.prog) (t : thread) =
           | f -> Value.error "dim3 has no member %S" f
         in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 8)) in
-        checked_store t ~loc loc_ptr (Value.Dim3 d);
+        checked_store t ~loc buf off (Value.Dim3 d);
         go (pc + 9)
     | 54 (* shared.hit *) -> (
         match Hashtbl.find_opt t.blk.Compile.shared (wd ops (pc + 2)) with

@@ -95,6 +95,8 @@ type run = {
   speedup : float;
   identical : bool;
   warm_hit_rate : float;
+  cold_stage_runs : int;
+  warm_stage_runs : int;
   snapshot : Metrics.snapshot;
   cache : Lru.stats;
 }
@@ -120,6 +122,8 @@ let replay ?jobs cfg =
       let snapshot = Engine.metrics eng in
       let h0, n0 = stage_totals mid in
       let h1, n1 = stage_totals snapshot in
+      (* a miss is the one place a stage computes; see [Engine.memo] *)
+      let cold_stage_runs = n0 - h0 and warm_stage_runs = n1 - h1 - (n0 - h0) in
       let warm_hit_rate =
         if n1 = n0 then nan
         else float_of_int (h1 - h0) /. float_of_int (n1 - n0)
@@ -138,6 +142,8 @@ let replay ?jobs cfg =
         speedup = (if warm_s > 0.0 then cold_s /. warm_s else infinity);
         identical = cold = warm;
         warm_hit_rate;
+        cold_stage_runs;
+        warm_stage_runs;
         snapshot;
         cache = Engine.cache_stats eng;
       })

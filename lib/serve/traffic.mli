@@ -32,6 +32,11 @@ type run = {
   speedup : float;  (** [cold_s /. warm_s]. *)
   identical : bool;  (** Warm responses byte-equal to cold ones. *)
   warm_hit_rate : float;  (** Cache hit rate of the warm pass alone. *)
+  cold_stage_runs : int;
+      (** Stage executions (cache misses) in the cold pass. Deterministic
+          up to concurrent duplicate misses at [jobs] > 1. *)
+  warm_stage_runs : int;
+      (** Stage executions in the warm pass: 0 unless the cache evicted. *)
   snapshot : Metrics.snapshot;  (** Engine metrics after both passes. *)
   cache : Lru.stats;
 }

@@ -10,6 +10,7 @@ let () =
       ("typecheck", Test_typecheck.suite);
       ("pattern", Test_pattern.suite);
       ("memory+values+events", Test_memory.suite);
+      ("lanes", Test_lanes.suite);
       ("event-queue", Test_event_queue.suite);
       ("interp", Test_interp.suite);
       ("interp-edge", Test_interp_edge.suite);

@@ -126,6 +126,141 @@ let mem_suite =
         let arr = Memory.read_array m p n in
         Alcotest.(check bool) "bulk read sees healed cell" true
           (arr.(100) = Value.Int 8));
+    (* Zero-initialized buffers choose their lane at the first store. *)
+    t "first store chooses the lane; unwritten elements stay Int 0"
+      (fun () ->
+        let m = Memory.create () in
+        let lane_name p =
+          match Memory.lane m p.Value.buf 0 with
+          | `Zero -> "zero"
+          | `Ints _ -> "ints"
+          | `Floats _ -> "floats"
+          | `Ptrs _ -> "ptrs"
+          | `Boxed _ -> "boxed"
+          | `Spilled -> "spilled"
+        in
+        let fresh () = Memory.alloc m 6 ~init:(Value.Int 0) in
+        (* the typed stores the bytecode VM uses follow the same rules *)
+        let typed_store (p : Value.ptr) (v : Value.t) =
+          match v with
+          | Value.Int n -> Memory.store_int m p.buf p.off n
+          | Value.Float f -> Memory.store_float m p.buf p.off [| f |] 0
+          | Value.Ptr q -> Memory.store_ptr m p.buf p.off q.buf q.off
+          | _ -> Memory.store_at m p.buf p.off v
+        in
+        List.iter
+          (fun ((v, expect), store) ->
+            let p = fresh () in
+            Alcotest.(check string) "fresh" "zero" (lane_name p);
+            (* a zero store keeps every lane open *)
+            store { p with off = 1 } (Value.Int 0);
+            Alcotest.(check string) "after Int 0" "zero" (lane_name p);
+            store { p with off = 4 } v;
+            Alcotest.(check string) (Value.to_string v) expect (lane_name p);
+            Alcotest.(check bool) "loaded back" true
+              (Memory.load m { p with off = 4 } = v);
+            Alcotest.(check bool) "unwritten loads Int 0" true
+              (Memory.load m { p with off = 2 } = Value.Int 0
+              && Memory.load_at m p.buf 1 = Value.Int 0);
+            let d = List.nth (Memory.dump m ~first:(p.buf + 1)) p.buf in
+            Alcotest.(check bool) "unwritten dumps Int 0" true
+              (d.(0) = Value.Int 0 && d.(5) = Value.Int 0 && d.(4) = v))
+          (List.concat_map
+             (fun case -> [ (case, Memory.store m); (case, typed_store) ])
+             [
+               (Value.Int 7, "ints");
+               (Value.Float 2.5, "floats");
+               (Value.Ptr { buf = 0; off = 3 }, "ptrs");
+               (Value.Bool true, "boxed");
+             ]);
+        (* pointers pack into one int; those that do not fit spill *)
+        let r = fresh () in
+        let store_ptr off v =
+          Memory.store m { r with off } v;
+          Alcotest.(check bool) (Value.to_string v) true
+            (Memory.load m { r with off } = v)
+        in
+        store_ptr 0 (Value.Ptr { buf = 3; off = -5 });
+        store_ptr 1 (Value.Ptr { buf = 0; off = (1 lsl 31) - 1 });
+        Alcotest.(check string) "pointer lane" "ptrs" (lane_name r);
+        Alcotest.(check int) "packed, no spill" 0 (Memory.spills m);
+        store_ptr 2 (Value.Ptr { buf = 2; off = 1 lsl 40 });
+        Alcotest.(check int) "unpackable pointer spills" 1 (Memory.spills m);
+        let q = fresh () in
+        Memory.store m { q with off = 0 } (Value.Float 1.5);
+        Alcotest.(check (array (float 0.0))) "bulk float read"
+          [| 1.5; 0.0; 0.0 |] (Memory.read_floats m q 3);
+        Alcotest.(check int) "no more spills" 1 (Memory.spills m));
+    t "mismatched stores into a chosen lane round-trip exactly" (fun () ->
+        let m = Memory.create () in
+        let p = Memory.alloc m 8 ~init:(Value.Int 0) in
+        Memory.store m p (Value.Float 0.25);
+        let same v off =
+          match (v, Memory.load m { p with off }) with
+          | Value.Float a, Value.Float b ->
+              Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+          | a, b -> a = b
+        in
+        let spills = ref 0 in
+        List.iteri
+          (fun i (v, spill) ->
+            let off = i + 1 in
+            Memory.store m { p with off } v;
+            if spill then incr spills;
+            Alcotest.(check bool) (Value.to_string v ^ " exact") true
+              (same v off);
+            Alcotest.(check int) (Value.to_string v ^ " spills") !spills
+              (Memory.spills m))
+          [
+            (Value.Int 7, true);
+            (Value.Ptr { buf = 0; off = 1 }, true);
+            (* Int 0 has an encoding in every lane *)
+            (Value.Int 0, false);
+            (* the reserved NaN itself must not read back as Int 0 *)
+            (Value.Float Memory.zero_payload, true);
+            (Value.Float Float.nan, false);
+            (Value.Float Float.neg_infinity, false);
+          ];
+        let d = List.hd (Memory.dump m ~first:1) in
+        Alcotest.(check bool) "dump" true
+          (d.(1) = Value.Int 7 && d.(3) = Value.Int 0 && d.(7) = Value.Int 0);
+        (* a matching store heals a spilled cell *)
+        Memory.store m { p with off = 1 } (Value.Float 3.0);
+        Alcotest.(check bool) "healed" true
+          (Memory.load m { p with off = 1 } = Value.Float 3.0));
+    t "update releases the lock when it raises" (fun () ->
+        let m = Memory.create () in
+        let p = Memory.alloc m 2 ~init:(Value.Int 5) in
+        let add old d () = Value.Int (Value.as_int old + d) in
+        (match Memory.update m p.buf 0 (fun _ () () -> failwith "boom") () ()
+         with
+        | _ -> Alcotest.fail "expected Failure"
+        | exception Failure _ -> ());
+        (match Memory.update m p.buf 2 add 1 () with
+        | _ -> Alcotest.fail "expected an out-of-bounds error"
+        | exception Value.Runtime_error _ -> ());
+        Alcotest.(check bool) "old value" true
+          (Memory.update m p.buf 0 add 10 () = Value.Int 5);
+        Alcotest.(check bool) "new value" true
+          (Memory.load m p = Value.Int 15));
+    t "concurrent first stores publish one lane" (fun () ->
+        for _ = 1 to 20 do
+          let m = Memory.create () in
+          let n = 4096 in
+          let p = Memory.alloc m n ~init:(Value.Int 0) in
+          let fill lo =
+            Domain.spawn (fun () ->
+                for i = lo to lo + (n / 2) - 1 do
+                  Memory.store m { p with off = i } (Value.Float (float i))
+                done)
+          in
+          let a = fill 0 and b = fill (n / 2) in
+          Domain.join a;
+          Domain.join b;
+          Alcotest.(check (array (float 0.0))) "every store kept"
+            (Array.init n float) (Memory.read_floats m p n);
+          Alcotest.(check int) "no spills" 0 (Memory.spills m)
+        done);
   ]
 
 let eq_suite =

@@ -176,24 +176,50 @@ let test_par_identity_unsafe () =
       Alcotest.(check string) (ename ^ ": nested metrics") m1 m4)
     engines
 
-(* Benchmark-level identity: one registry cell, exact, -j1 vs -j4. *)
+(* Benchmark-level identity: registry cells, exact, -j1 vs -j4.
+   BT/T0032-C16 CDP dispatches parallel batches; the other two cells hold
+   zero-initialized buffers whose first store chooses their lane. *)
+let par_identity_cells =
+  let cdp o = Harness.Variant.instantiate o Harness.Variant.default_params in
+  [
+    ("BT", "T0032-C16", Harness.Variant.Cdp Dpopt.Pipeline.none);
+    ("BT", "T2048-C64", cdp { t = true; c = true; a = true });
+    ("TC", "KRON", cdp { t = false; c = false; a = true });
+  ]
+
 let test_par_identity_benchmark () =
-  match Benchmarks.Registry.find ~name:"BT" ~dataset:"T0032-C16" () with
-  | None -> Alcotest.fail "BT/T0032-C16 missing from registry"
-  | Some spec ->
+  List.iter
+    (fun (name, dataset, variant) ->
+      let spec =
+        match Benchmarks.Registry.find ~name ~dataset () with
+        | Some spec -> spec
+        | None -> Alcotest.failf "%s/%s missing from registry" name dataset
+      in
       List.iter
         (fun (engine, ename) ->
           let run jobs =
             let cfg = { Config.default with engine; block_jobs = jobs } in
-            Harness.Experiment.run ~cfg spec
-              (Harness.Variant.Cdp Dpopt.Pipeline.none)
+            let dev =
+              Benchmarks.Bench_common.load_variant ~cfg spec
+                (match variant with
+                | Harness.Variant.No_cdp -> `No_cdp
+                | Harness.Variant.Cdp o -> `Cdp o)
+            in
+            let fp = spec.run dev in
+            ( fp,
+              {
+                o_time = Device.time dev;
+                o_dump = Device.dump_memory dev ~first:(Device.buffer_count dev);
+                o_metrics = metrics_str (Device.metrics dev);
+              } )
           in
-          let a = run 1 and b = run 4 in
-          Alcotest.(check (float 0.0)) (ename ^ ": time") a.time b.time;
-          Alcotest.(check int) (ename ^ ": fingerprint") a.fingerprint
-            b.fingerprint;
-          Alcotest.(check bool) (ename ^ ": snapshot") true (a.snap = b.snap))
-        engines
+          let label = Fmt.str "%s/%s %s" name dataset ename in
+          let fa, a = run 1 and fb, b = run 4 in
+          Alcotest.(check int) (label ^ ": reference") (spec.reference ()) fa;
+          Alcotest.(check int) (label ^ ": fingerprint") fa fb;
+          check_same_outcome label a b)
+        engines)
+    par_identity_cells
 
 (* ------------------------------------------------------------------ *)
 (* Sampling: determinism, off-switches, extrapolation                   *)

@@ -228,12 +228,12 @@ let suite =
         (* unknown exceptions are internal and must re-raise, not render *)
         Alcotest.(check bool) "unknown exn not rendered" true
           (Serve.Errors.render ~file:"f" Exit = None));
-    Alcotest.test_case "traffic: warm pass >= 3x cold, byte-identical" `Slow
-      (fun () ->
-        let r =
-          Serve.Traffic.replay ~jobs:2
-            { Serve.Traffic.default with requests = 200 }
-        in
+    (* The warm/cold wall-clock ratio (>= 3x) is gated best-of-N by the
+       @serve smoke; here the saving is asserted as a count. *)
+    Alcotest.test_case "traffic: warm pass runs no stage, byte-identical"
+      `Slow (fun () ->
+        let cfg = { Serve.Traffic.default with requests = 200 } in
+        let r = Serve.Traffic.replay ~jobs:2 cfg in
         Alcotest.(check int) "requests" 200 r.total;
         Alcotest.(check int) "no rejections" 0 r.rejected;
         Alcotest.(check bool) "byte-identical" true r.identical;
@@ -241,10 +241,19 @@ let suite =
           (Fmt.str "warm hit rate %.2f >= 0.5" r.warm_hit_rate)
           true
           (r.warm_hit_rate >= 0.5);
+        (* every distinct job parses at least once cold, never warm *)
+        let distinct =
+          List.sort_uniq compare
+            (List.concat_map
+               (List.map (fun (rq : Serve.Engine.request) -> rq.rq_file))
+               (Serve.Traffic.requests cfg))
+        in
         Alcotest.(check bool)
-          (Fmt.str "speedup %.1fx >= 3x (cold %.3fs warm %.3fs)" r.speedup
-             r.cold_s r.warm_s)
-          true (r.speedup >= 3.0);
+          (Fmt.str "cold pass ran %d stages for %d distinct jobs"
+             r.cold_stage_runs (List.length distinct))
+          true
+          (r.cold_stage_runs >= List.length distinct);
+        Alcotest.(check int) "warm pass runs no stage" 0 r.warm_stage_runs;
         (* the run's metrics artifact, same schema dpoptd --json writes *)
         let j = Serve.Traffic.json_of_run r in
         List.iter
