@@ -236,6 +236,25 @@ let check_loc env = if env.cfg.check then Some env.cur_loc else None
 (* Expression lowering                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* --- Fused memory operands ----------------------------------------------
+
+   [load], [addr] and [dim3] coerce their own operands ([need_ptr] on the
+   pointer, [get_int] on the index and components) with the same messages
+   as [as_ptr]/[cast.int], so a separate coercion instruction is needed
+   only to keep an error in its closure-engine position: before whatever
+   is evaluated next. [quiet e] holds when lowering [e] emits nothing that
+   can raise or have an effect — a local variable (no instruction), an int
+   or bool literal, or a reserved-variable component whose field is
+   [x]/[y]/[z] (decoded at pack time, so the VM's field lookup cannot
+   fail). A coercion followed only by quiet code can move into the
+   consuming instruction without reordering anything observable; a
+   coercion immediately before its consumer always can. *)
+let quiet = function
+  | Var x -> not (is_reserved_var x)
+  | Int_lit _ | Bool_lit _ -> true
+  | Member (Var x, ("x" | "y" | "z")) -> is_reserved_var x
+  | _ -> false
+
 (* [lower_expr env e] emits code evaluating [e] and returns the register
    holding the result: a fresh temporary, or the variable's own register
    for [Var]. Temporaries are reclaimed by the caller via [mark]/[reset]. *)
@@ -362,14 +381,9 @@ let rec lower_expr env (e : expr) : int =
       patch_target env.em je env.em.len;
       d
   | Index (p, i) ->
-      let rp = lower_expr env p in
-      let tp = tmp env in
-      ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
+      let rp, ri = lower_mem_operand env p i in
       let d = tmp env in
-      ins (I_load (d, tp, ti, check_loc env));
+      ins (I_load (d, rp, ri, check_loc env));
       d
   | Cast (TInt, a) ->
       let ra = lower_expr env a in
@@ -388,35 +402,55 @@ let rec lower_expr env (e : expr) : int =
       d
   | Cast (_, a) -> lower_expr env a
   | Dim3_ctor (x, y, z) ->
-      (* Tuple construction evaluates right-to-left: z (then its as_int),
-         then y, then x. *)
-      let rz = lower_expr env z in
-      let tz = tmp env in
-      ins (I_cast_int (tz, rz));
-      let ry = lower_expr env y in
-      let ty = tmp env in
-      ins (I_cast_int (ty, ry));
-      let rx = lower_expr env x in
-      let tx = tmp env in
-      ins (I_cast_int (tx, rx));
+      let rx, ry, rz = lower_dim3_operands env x y z in
       let d = tmp env in
-      ins (I_dim3 (d, tx, ty, tz));
+      ins (I_dim3 (d, rx, ry, rz));
       d
   | Addr_of lv -> lower_addr env lv
   | Call (f, args) -> lower_call env f args
+
+(* [lower_mem_operand env p i] evaluates [p] then [i] for a [load] or
+   [addr], which check the pointer and coerce the index themselves. The
+   pointer is coerced in place ([as_ptr], as the closure engine does
+   before evaluating [i]) unless [i] is [quiet]. *)
+and lower_mem_operand env p i =
+  let rp = lower_expr env p in
+  let rp =
+    if quiet i then rp
+    else begin
+      let tp = tmp env in
+      ignore (emit env.em (I_as_ptr (tp, rp)));
+      tp
+    end
+  in
+  (rp, lower_expr env i)
+
+(* Tuple construction evaluates right-to-left: z (then its as_int), then
+   y, then x. [dim3] coerces all three, z first, so a component's
+   [cast.int] is kept only when non-quiet code follows it. *)
+and lower_dim3_operands env x y z =
+  let coerced r later =
+    if later then begin
+      let tr = tmp env in
+      ignore (emit env.em (I_cast_int (tr, r)));
+      tr
+    end
+    else r
+  in
+  let rz = lower_expr env z in
+  let rz = coerced rz (not (quiet y && quiet x)) in
+  let ry = lower_expr env y in
+  let ry = coerced ry (not (quiet x)) in
+  let rx = lower_expr env x in
+  (rx, ry, rz)
 
 and lower_addr env (lv : expr) : int =
   let ins i = ignore (emit env.em i) in
   match lv with
   | Index (p, i) ->
-      let rp = lower_expr env p in
-      let tp = tmp env in
-      ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
+      let rp, ri = lower_mem_operand env p i in
       let d = tmp env in
-      ins (I_addr (d, tp, ti));
+      ins (I_addr (d, rp, ri));
       d
   | Var x ->
       Value.error
@@ -477,15 +511,11 @@ and lower_call_into env d f args : unit =
         | "atomicMax" -> A_max
         | _ -> A_exch
       in
-      let rp = lower_expr env (nth 0) in
-      let tp = tmp env in
-      ins (I_as_ptr (tp, rp));
+      let tp = lower_atomic_ptr env (nth 0) in
       let rv = lower_expr env (nth 1) in
       ins (I_atomic (aop, d, tp, rv, check_loc env))
   | "atomicCAS" ->
-      let rp = lower_expr env (nth 0) in
-      let tp = tmp env in
-      ins (I_as_ptr (tp, rp));
+      let tp = lower_atomic_ptr env (nth 0) in
       let rc = lower_expr env (nth 1) in
       let rv = lower_expr env (nth 2) in
       ins (I_cas (d, tp, rc, rv, check_loc env))
@@ -519,6 +549,18 @@ and lower_call_into env d f args : unit =
           let regs = List.map (lower_expr env) args in
           ins (I_call (d, fi, Array.of_list regs))
       | None -> Value.error "in %s: unknown function %S" env.fname f)
+
+(* An atomic's pointer operand is coerced before its other operands are
+   evaluated. The coercion is redundant when the operand is [&p[i]]: an
+   [addr] result is always a pointer, and the atomic re-checks anyway. *)
+and lower_atomic_ptr env (a : expr) : int =
+  let rp = lower_expr env a in
+  match a with
+  | Addr_of _ -> rp
+  | _ ->
+      let tp = tmp env in
+      ignore (emit env.em (I_as_ptr (tp, rp)));
+      tp
 
 (* [lower_cond_jf env c] lowers a branch condition and emits the
    conditional jump, fusing compare-and-branch when [c] is a top-level
@@ -619,13 +661,8 @@ and lower_into env dst (e : expr) : unit =
       reset env m;
       patch_target env.em je env.em.len
   | Index (p, i) ->
-      let rp = lower_expr env p in
-      let tp = tmp env in
-      ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
-      ins (I_load (dst, tp, ti, check_loc env))
+      let rp, ri = lower_mem_operand env p i in
+      ins (I_load (dst, rp, ri, check_loc env))
   | Cast (TInt, a) ->
       let ra = lower_expr env a in
       ins (I_cast_int (dst, ra))
@@ -637,24 +674,11 @@ and lower_into env dst (e : expr) : unit =
       ins (I_cast_bool (dst, ra))
   | Cast (_, a) -> lower_into env dst a
   | Dim3_ctor (x, y, z) ->
-      let rz = lower_expr env z in
-      let tz = tmp env in
-      ins (I_cast_int (tz, rz));
-      let ry = lower_expr env y in
-      let ty = tmp env in
-      ins (I_cast_int (ty, ry));
-      let rx = lower_expr env x in
-      let tx = tmp env in
-      ins (I_cast_int (tx, rx));
-      ins (I_dim3 (dst, tx, ty, tz))
+      let rx, ry, rz = lower_dim3_operands env x y z in
+      ins (I_dim3 (dst, rx, ry, rz))
   | Addr_of (Index (p, i)) ->
-      let rp = lower_expr env p in
-      let tp = tmp env in
-      ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
-      ins (I_addr (dst, tp, ti))
+      let rp, ri = lower_mem_operand env p i in
+      ins (I_addr (dst, rp, ri))
   | Addr_of lv ->
       (* Non-indexable lvalues: reuse [lower_addr] for its diagnostics. *)
       ignore (lower_addr env lv)
@@ -1041,13 +1065,31 @@ and lower_stmts env ss =
     28 addr         [d; p; i]        58 sync         []
     29 min          [d; a; b]
 
-   Superinstructions — rotated-loop bottoms fused to one dispatch by the
-   packer (guarded: no jump target may land on an interior instruction):
+   Per-operator forms of the hottest binops: the packer emits these for
+   [I_binop]/[I_binop_int] with that operator instead of opcode 11/12.
 
-    59 loop.cc   [tag; f#; d; op; a; b; @]   charge; d += 1; cmp.jt
-    60 loop.cci  [tag; f#; d; op; a; n; @]   charge; d += 1; cmp.jt.int
-    61 charge.jt  [tag; f#; op; a; b; @]     charge; cmp.jt
-    62 charge.jti [tag; f#; op; a; n; @]     charge; cmp.jt.int
+    63 add   [d; a; b]     66 add.i  [d; a; n]
+    64 sub   [d; a; b]     67 sub.i  [d; a; n]
+    65 mul   [d; a; b]     68 div.i  [d; a; n]
+
+   Superinstructions — fused to one dispatch by the packer (guarded: no
+   jump target may land on an interior instruction):
+
+    59 loop.cc      [tag; f#; d; op; a; b; @]     charge; d += 1; cmp.jt
+    60 loop.cci     [tag; f#; d; op; a; n; @]     charge; d += 1; cmp.jt.int
+    61 charge.jt    [tag; f#; op; a; b; @]        charge; cmp.jt
+    62 charge.jti   [tag; f#; op; a; n; @]        charge; cmp.jt.int
+    69 cmp.jf.c     [op; a; b; @; tag; f#]        cmp.jf; charge
+    70 cmp.jfi.c    [op; a; n; @; tag; f#]        cmp.jf.int; charge
+    71 charge.jt.c  [tag; f#; op; a; b; tag'; f'#; @]
+                            charge; cmp.jt (taken: charge'; jump past it)
+    72 charge.jti.c [tag; f#; op; a; n; tag'; f'#; @]
+                            charge; cmp.jt.int (taken: likewise)
+
+   The [op] word of every compare-and-branch form (14-17, 59-62, 69-72)
+   is a [cond_mask], not a [binop_code]. [special.comp] and [member] carry
+   the dim3 component decoded ([s#] is 0/1/2 for x/y/z, or [-1 - i] for
+   any other name pooled at [i], which fails at run time).
 
    ([f#]/[s#]/[v#]/[l#] are pool indices; [@] a word-offset jump target;
    [w@] the callee's pre-resolved entry word offset.) *)
@@ -1071,6 +1113,18 @@ let binop_code : binop -> int = function
   | BXor -> 15
   | Shl -> 16
   | Shr -> 17
+
+(* Compare-and-branch forms carry a condition mask instead of
+   [binop_code]: bit 0, 1 or 2 holds the outcome when the left operand is
+   less than, equal to or greater than the right one. *)
+let cond_mask : binop -> int = function
+  | Lt -> 0b001
+  | Le -> 0b011
+  | Eq -> 0b010
+  | Ne -> 0b101
+  | Gt -> 0b100
+  | Ge -> 0b110
+  | op -> invalid_arg ("Bytecode.cond_mask: " ^ Ast.show_binop op)
 
 let special_code = function
   | Sp_thread_idx -> 0
@@ -1108,6 +1162,9 @@ let pack_width = function
   | I_special_comp _ -> 4
   | I_member _ -> 4
   | I_neg _ | I_not _ -> 3
+  | I_binop ((Add | Sub | Mul), _, _, _) | I_binop_int ((Add | Sub | Div), _, _, _)
+    ->
+      4
   | I_binop _ | I_binop_int _ | I_binop_float _ -> 5
   | I_cmp_jf _ | I_cmp_jf_int _ | I_cmp_jt _ | I_cmp_jt_int _ -> 5
   | I_cast_int _ | I_cast_float _ | I_cast_bool _ | I_cast_dim3 _
@@ -1147,10 +1204,14 @@ let pack_width = function
 (* [pack code funcs] flattens [code]; [funcs] must already have their
    [bf_entry] set (call targets are resolved to word offsets here).
 
-   The packer also fuses rotated-loop bottom sequences into one dispatch:
+   The packer also fuses these sequences into one dispatch:
 
-     charge; d = d + 1; cmp.jt ...  ->  loop.cc / loop.cci   (For bottoms)
-     charge; cmp.jt ...             ->  charge.jt / charge.jti (While bottoms)
+     charge; d = d + 1; cmp.jt ...  ->  loop.cc / loop.cci     (For bottoms)
+     charge; cmp.jt ...             ->  charge.jt / charge.jti (loop bottoms)
+     charge; cmp.jt -> (charge; X)  ->  charge.jt.c / charge.jti.c, jumping
+                                        to X (charge threading, below)
+     cmp.jf ...; charge             ->  cmp.jf.c / cmp.jfi.c   (loop guards,
+                                        if heads: the fall-through charge)
 
    only when no jump target (or function entry/followup) lands on an
    interior instruction — a [continue] into a For step keeps the unfused
@@ -1158,8 +1219,11 @@ let pack_width = function
    order, so fusion changes dispatch count and nothing else. *)
 let pack (code : instr array) (funcs : func array) =
   let n = Array.length code in
-  let target = Array.make (n + 1) false in
-  let mark tg = target.(tg) <- true in
+  (* ntargets.(i): jump edges, function entries and followups landing on
+     [i]; no superinstruction may have [i] as an interior instruction
+     while it is positive. *)
+  let ntargets = Array.make (n + 1) 0 in
+  let mark tg = ntargets.(tg) <- ntargets.(tg) + 1 in
   Array.iter
     (function
       | I_cmp_jf (_, _, _, tg)
@@ -1178,13 +1242,38 @@ let pack (code : instr array) (funcs : func array) =
       mark f.bf_entry;
       match f.bf_followup with Some e -> mark e | None -> ())
     funcs;
+  let is_charge k = match code.(k) with I_charge _ -> true | _ -> false in
+  (* Charge threading. A [charge; cmp.jt -> tg] back edge whose target
+     [tg] is itself a [charge] (the first charge of the loop body) folds
+     that charge into the branch: the taken path charges it and jumps to
+     [tg + 1]. [threaded.(j)] is the new target of the back edge whose
+     [charge] is at [j], or -1. Not applied when [tg] could start a
+     superinstruction (that needs [tg + 1] as an interior instruction,
+     and [tg + 1] becomes a target), nor when the loop body is that very
+     charge. Moving the edge off [tg] may let the loop guard's [cmp.jf]
+     fuse with the charge below. *)
+  let threaded = Array.make n (-1) in
+  for j = 0 to n - 2 do
+    match code.(j + 1) with
+    | I_cmp_jt (_, _, _, tg) | I_cmp_jt_int (_, _, _, tg)
+      when is_charge j && ntargets.(j + 1) = 0 && tg <> j && is_charge tg
+           && (match code.(tg + 1) with
+              | I_cmp_jt _ | I_cmp_jt_int _ | I_binop_int _ -> false
+              | _ -> true) ->
+        threaded.(j) <- tg + 1;
+        ntargets.(tg) <- ntargets.(tg) - 1;
+        mark (tg + 1)
+    | _ -> ()
+  done;
   (* fused.(i): packed opcode of the superinstruction starting at [i], 0 if
      [i] packs alone, -1 if consumed by a preceding superinstruction. *)
   let fused = Array.make n 0 in
   let i = ref 0 in
   while !i < n do
     let j = !i in
-    let nxt k = if j + k < n && not target.(j + k) then Some code.(j + k) else None in
+    let nxt k =
+      if j + k < n && ntargets.(j + k) = 0 then Some code.(j + k) else None
+    in
     let len, sop =
       match code.(j) with
       | I_charge _ -> (
@@ -1194,8 +1283,15 @@ let pack (code : instr array) (funcs : func array) =
           | Some (I_binop_int (Add, d, a, 1)), Some (I_cmp_jt_int _) when d = a
             ->
               (3, 60)
-          | Some (I_cmp_jt _), _ -> (2, 61)
-          | Some (I_cmp_jt_int _), _ -> (2, 62)
+          | Some (I_cmp_jt _), _ -> (2, if threaded.(j) < 0 then 61 else 71)
+          | Some (I_cmp_jt_int _), _ ->
+              (2, if threaded.(j) < 0 then 62 else 72)
+          | _ -> (1, 0))
+      | (I_cmp_jf _ | I_cmp_jf_int _) as c -> (
+          (* A threaded charge must start its own [charge.jt.c]. *)
+          match nxt 1 with
+          | Some (I_charge _) when threaded.(j + 1) < 0 ->
+              (2, match c with I_cmp_jf _ -> 69 | _ -> 70)
           | _ -> (1, 0))
       | _ -> (1, 0)
     in
@@ -1212,6 +1308,7 @@ let pack (code : instr array) (funcs : func array) =
     | 0 -> pack_width code.(i)
     | -1 -> 0
     | 59 | 60 -> 8
+    | 71 | 72 -> 9
     | _ -> 7
   in
   let woff = Array.make (n + 1) 0 in
@@ -1238,6 +1335,14 @@ let pack (code : instr array) (funcs : func array) =
     ops.(!w) <- x;
     incr w
   in
+  (* dim3 components decode to 0/1/2; any other name keeps its string
+     (pool index [-1 - c]) for the VM's runtime error. *)
+  let field_code = function
+    | "x" -> 0
+    | "y" -> 1
+    | "z" -> 2
+    | f -> -1 - adds f
+  in
   let put_charge i =
     match code.(i) with
     | I_charge (tag, c) ->
@@ -1248,7 +1353,7 @@ let pack (code : instr array) (funcs : func array) =
   let put_cmp_jt i =
     match code.(i) with
     | I_cmp_jt (op, a, b, tg) | I_cmp_jt_int (op, a, b, tg) ->
-        put (binop_code op);
+        put (cond_mask op);
         put a;
         put b;
         put woff.(tg)
@@ -1268,6 +1373,27 @@ let pack (code : instr array) (funcs : func array) =
         put sop;
         put_charge i;
         put_cmp_jt (i + 1)
+    | (69 | 70) as sop -> (
+        put sop;
+        match code.(i) with
+        | I_cmp_jf (op, a, b, tg) | I_cmp_jf_int (op, a, b, tg) ->
+            put (cond_mask op);
+            put a;
+            put b;
+            put woff.(tg);
+            put_charge (i + 1)
+        | _ -> assert false)
+    | (71 | 72) as sop -> (
+        put sop;
+        put_charge i;
+        match code.(i + 1) with
+        | I_cmp_jt (op, a, b, _) | I_cmp_jt_int (op, a, b, _) ->
+            put (cond_mask op);
+            put a;
+            put b;
+            put_charge (threaded.(i) - 1);
+            put woff.(threaded.(i))
+        | _ -> assert false)
     | _ -> (
     match code.(i) with
     | I_const_unit d ->
@@ -1303,12 +1429,12 @@ let pack (code : instr array) (funcs : func array) =
         put 7;
         put d;
         put (special_code sp);
-        put (adds f)
+        put (field_code f)
     | I_member (d, s, f) ->
         put 8;
         put d;
         put s;
-        put (adds f)
+        put (field_code f)
     | I_neg (d, s) ->
         put 9;
         put d;
@@ -1317,12 +1443,22 @@ let pack (code : instr array) (funcs : func array) =
         put 10;
         put d;
         put s
+    | I_binop (((Add | Sub | Mul) as op), d, a, b) ->
+        put (match op with Add -> 63 | Sub -> 64 | _ -> 65);
+        put d;
+        put a;
+        put b
     | I_binop (op, d, a, b) ->
         put 11;
         put (binop_code op);
         put d;
         put a;
         put b
+    | I_binop_int (((Add | Sub | Div) as op), d, a, x) ->
+        put (match op with Add -> 66 | Sub -> 67 | _ -> 68);
+        put d;
+        put a;
+        put x
     | I_binop_int (op, d, a, x) ->
         put 12;
         put (binop_code op);
@@ -1337,25 +1473,25 @@ let pack (code : instr array) (funcs : func array) =
         put (addf f)
     | I_cmp_jf (op, a, b, tg) ->
         put 14;
-        put (binop_code op);
+        put (cond_mask op);
         put a;
         put b;
         put woff.(tg)
     | I_cmp_jf_int (op, a, x, tg) ->
         put 15;
-        put (binop_code op);
+        put (cond_mask op);
         put a;
         put x;
         put woff.(tg)
     | I_cmp_jt (op, a, b, tg) ->
         put 16;
-        put (binop_code op);
+        put (cond_mask op);
         put a;
         put b;
         put woff.(tg)
     | I_cmp_jt_int (op, a, x, tg) ->
         put 17;
-        put (binop_code op);
+        put (cond_mask op);
         put a;
         put x;
         put woff.(tg)

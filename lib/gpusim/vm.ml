@@ -27,7 +27,10 @@
 
     Per-block metadata lives in a {!scratch} arena owned by the scheduler:
     thread records, register banks and call stacks are preallocated and
-    reused across blocks, so steady-state execution does not allocate. *)
+    reused across blocks, so steady-state execution does not allocate.
+    Thread set-up is allocation-free too: [threadIdx] is three int fields,
+    and the kernel arguments are unboxed once per block into the arena's
+    argument template, then copied lane by lane into each thread's frame. *)
 
 open Bytecode
 
@@ -71,7 +74,9 @@ type thread = {
   costs : float array;
   tot : float array;
   mutable default_idx : int;
-  mutable tidx : int * int * int;
+  mutable tx : int;  (** [threadIdx], unboxed. *)
+  mutable ty : int;
+  mutable tz : int;
   mutable blk : Compile.bctx;
   mutable status : status;
   mutable wdst : int;  (** Absolute register awaiting a warp result. *)
@@ -232,9 +237,8 @@ let check_access (t : thread) ~kind ~loc buf off =
   match t.blk.Compile.racecheck with
   | None -> ()
   | Some rc ->
-      let x, y, z = t.tidx in
       let bx, by, _ = t.blk.Compile.bdim in
-      let tid = x + (y * bx) + (z * bx * by) in
+      let tid = t.tx + (t.ty * bx) + (t.tz * bx * by) in
       Racecheck.record rc ~tid ~kind ~loc { Value.buf; off }
 
 let access_failed (t : thread) ~loc msg =
@@ -276,11 +280,19 @@ let store_from t mem buf off r =
   | 5 -> Memory.store_ptr mem buf off (geti t r) (getib t r)
   | _ -> Memory.store_at mem buf off (box t r)
 
-let dim3_field x y z = function
-  | "x" -> x
-  | "y" -> y
-  | "z" -> z
-  | f -> Value.error "dim3 has no member %S" f
+(* dim3 components arrive decoded ([Bytecode.pack]'s [field_code]):
+   0/1/2 for x/y/z, [-1 - s] for any other name, pooled at [s]. *)
+let field_name (p : Bytecode.prog) = function
+  | 0 -> "x"
+  | 1 -> "y"
+  | 2 -> "z"
+  | c -> p.bp_spool.(-1 - c)
+
+let[@inline] dim3_field p x y z = function
+  | 0 -> x
+  | 1 -> y
+  | 2 -> z
+  | c -> Value.error "dim3 has no member %S" (field_name p c)
 
 (* Atomic combine — the exact expressions of the closure engine's
    [compile_call], so coercion order (and failure order) is identical.
@@ -330,21 +342,91 @@ let binop_tbl =
 let atomic_tbl = [| A_add; A_sub; A_min; A_max; A_exch |]
 
 (* Fused comparison evaluation — [as_bool (eval_binop op a b)] without
-   materializing the Bool. Lowering only emits comparison operators into
-   the [I_cmp_*] family, so non-comparisons are unreachable. *)
+   materializing the Bool. Compare-and-branch forms carry a condition mask
+   ([Bytecode.cond_mask]) in place of the operator: bit [k] is the outcome
+   when [a] is less than (0), equal to (1) or greater than (2) [b]. The
+   int x int case is then one bit test — or a plain [<] for [lt], which
+   every counting loop uses and which is cheaper than the test; every
+   other case decodes the operator and takes the generic path. *)
 
-let cmp2 (t : thread) op ra rb : bool =
+let cond_tbl =
+  Minicu.Ast.[| Ne; Lt; Eq; Le; Gt; Ne; Ge; Ne |]
+
+let[@inline] int_cond mask (a : int) (b : int) =
+  if mask = 0b001 then a < b
+  else (mask lsr (Bool.to_int (a >= b) + Bool.to_int (a > b))) land 1 <> 0
+
+let[@inline] float_cond op a bf =
+  match op with
+  | Minicu.Ast.Lt -> Float.compare a bf < 0
+  | Minicu.Ast.Le -> Float.compare a bf <= 0
+  | Minicu.Ast.Gt -> Float.compare a bf > 0
+  | Minicu.Ast.Ge -> Float.compare a bf >= 0
+  | Minicu.Ast.Eq -> a = bf
+  | Minicu.Ast.Ne -> a <> bf
+  | _ -> assert false
+
+let cmp2_slow (t : thread) mask ra rb : bool =
+  let op = Array.unsafe_get cond_tbl mask in
   let ta = tag_of t ra and tb = tag_of t rb in
+  if
+    (ta = tag_float || tb = tag_float)
+    && (ta = tag_int || ta = tag_float)
+    && (tb = tag_int || tb = tag_float)
+  then
+    let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
+    and bf = if tb = tag_float then getf t rb else float_of_int (geti t rb) in
+    float_cond op a bf
+  else Value.as_bool (Compile.eval_binop op (box t ra) (box t rb))
+
+let[@inline] cmp2 (t : thread) mask ra rb : bool =
+  if tag_of t ra = tag_int && tag_of t rb = tag_int then
+    int_cond mask (geti t ra) (geti t rb)
+  else cmp2_slow t mask ra rb
+
+let cmp1_slow (t : thread) mask ra n : bool =
+  let op = Array.unsafe_get cond_tbl mask in
+  if tag_of t ra = tag_float then float_cond op (getf t ra) (float_of_int n)
+  else Value.as_bool (Compile.eval_binop op (box t ra) (Value.Int n))
+
+let[@inline] cmp1 (t : thread) mask ra n : bool =
+  if tag_of t ra = tag_int then int_cond mask (geti t ra) n
+  else cmp1_slow t mask ra n
+
+(* Generic binops — register/register and register/int-literal. The
+   generic opcodes call these directly; the per-operator opcodes inline
+   their int x int case and fall back here, so both give the same
+   results and raise the same errors. *)
+
+let binop_rr (t : thread) op rd ra rb =
+  let ta = tag_of t ra and tb = tag_of t rb in
+  let fallback () =
+    set_value t rd (Compile.eval_binop op (box t ra) (box t rb))
+  in
   if ta = tag_int && tb = tag_int then
     let a = geti t ra and bi = geti t rb in
     match op with
-    | Minicu.Ast.Lt -> a < bi
-    | Minicu.Ast.Le -> a <= bi
-    | Minicu.Ast.Gt -> a > bi
-    | Minicu.Ast.Ge -> a >= bi
-    | Minicu.Ast.Eq -> a = bi
-    | Minicu.Ast.Ne -> a <> bi
-    | _ -> assert false
+    | Minicu.Ast.Add -> set_int t rd (a + bi)
+    | Minicu.Ast.Sub -> set_int t rd (a - bi)
+    | Minicu.Ast.Mul -> set_int t rd (a * bi)
+    | Minicu.Ast.Div ->
+        if bi = 0 then Value.error "integer division by zero";
+        set_int t rd (a / bi)
+    | Minicu.Ast.Mod ->
+        if bi = 0 then Value.error "integer modulo by zero";
+        set_int t rd (a mod bi)
+    | Minicu.Ast.Lt -> set_bool t rd (a < bi)
+    | Minicu.Ast.Le -> set_bool t rd (a <= bi)
+    | Minicu.Ast.Gt -> set_bool t rd (a > bi)
+    | Minicu.Ast.Ge -> set_bool t rd (a >= bi)
+    | Minicu.Ast.Eq -> set_bool t rd (a = bi)
+    | Minicu.Ast.Ne -> set_bool t rd (a <> bi)
+    | Minicu.Ast.BAnd -> set_int t rd (a land bi)
+    | Minicu.Ast.BOr -> set_int t rd (a lor bi)
+    | Minicu.Ast.BXor -> set_int t rd (a lxor bi)
+    | Minicu.Ast.Shl -> set_int t rd (a lsl bi)
+    | Minicu.Ast.Shr -> set_int t rd (a asr bi)
+    | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ()
   else if
     (ta = tag_float || tb = tag_float)
     && (ta = tag_int || ta = tag_float)
@@ -353,39 +435,60 @@ let cmp2 (t : thread) op ra rb : bool =
     let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
     and bf = if tb = tag_float then getf t rb else float_of_int (geti t rb) in
     match op with
-    | Minicu.Ast.Lt -> Float.compare a bf < 0
-    | Minicu.Ast.Le -> Float.compare a bf <= 0
-    | Minicu.Ast.Gt -> Float.compare a bf > 0
-    | Minicu.Ast.Ge -> Float.compare a bf >= 0
-    | Minicu.Ast.Eq -> a = bf
-    | Minicu.Ast.Ne -> a <> bf
-    | _ -> assert false
-  else Value.as_bool (Compile.eval_binop op (box t ra) (box t rb))
+    | Minicu.Ast.Add -> set_float t rd (a +. bf)
+    | Minicu.Ast.Sub -> set_float t rd (a -. bf)
+    | Minicu.Ast.Mul -> set_float t rd (a *. bf)
+    | Minicu.Ast.Div -> set_float t rd (a /. bf)
+    | Minicu.Ast.Lt | Minicu.Ast.Le | Minicu.Ast.Gt | Minicu.Ast.Ge
+    | Minicu.Ast.Eq | Minicu.Ast.Ne ->
+        set_bool t rd (float_cond op a bf)
+    | _ -> fallback ()
+  else fallback ()
 
-let cmp1 (t : thread) op ra n : bool =
+(* Same semantics as [binop_rr] with an Int right operand; the literal
+   never needs materializing. *)
+let binop_ri (t : thread) op rd ra n =
+  let fallback () =
+    set_value t rd (Compile.eval_binop op (box t ra) (Value.Int n))
+  in
   match tag_of t ra with
   | 1 -> (
       let a = geti t ra in
       match op with
-      | Minicu.Ast.Lt -> a < n
-      | Minicu.Ast.Le -> a <= n
-      | Minicu.Ast.Gt -> a > n
-      | Minicu.Ast.Ge -> a >= n
-      | Minicu.Ast.Eq -> a = n
-      | Minicu.Ast.Ne -> a <> n
-      | _ -> assert false)
+      | Minicu.Ast.Add -> set_int t rd (a + n)
+      | Minicu.Ast.Sub -> set_int t rd (a - n)
+      | Minicu.Ast.Mul -> set_int t rd (a * n)
+      | Minicu.Ast.Div ->
+          if n = 0 then Value.error "integer division by zero";
+          set_int t rd (a / n)
+      | Minicu.Ast.Mod ->
+          if n = 0 then Value.error "integer modulo by zero";
+          set_int t rd (a mod n)
+      | Minicu.Ast.Lt -> set_bool t rd (a < n)
+      | Minicu.Ast.Le -> set_bool t rd (a <= n)
+      | Minicu.Ast.Gt -> set_bool t rd (a > n)
+      | Minicu.Ast.Ge -> set_bool t rd (a >= n)
+      | Minicu.Ast.Eq -> set_bool t rd (a = n)
+      | Minicu.Ast.Ne -> set_bool t rd (a <> n)
+      | Minicu.Ast.BAnd -> set_int t rd (a land n)
+      | Minicu.Ast.BOr -> set_int t rd (a lor n)
+      | Minicu.Ast.BXor -> set_int t rd (a lxor n)
+      | Minicu.Ast.Shl -> set_int t rd (a lsl n)
+      | Minicu.Ast.Shr -> set_int t rd (a asr n)
+      | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ())
   | 2 -> (
       let a = getf t ra in
       let bf = float_of_int n in
       match op with
-      | Minicu.Ast.Lt -> Float.compare a bf < 0
-      | Minicu.Ast.Le -> Float.compare a bf <= 0
-      | Minicu.Ast.Gt -> Float.compare a bf > 0
-      | Minicu.Ast.Ge -> Float.compare a bf >= 0
-      | Minicu.Ast.Eq -> a = bf
-      | Minicu.Ast.Ne -> a <> bf
-      | _ -> assert false)
-  | _ -> Value.as_bool (Compile.eval_binop op (box t ra) (Value.Int n))
+      | Minicu.Ast.Add -> set_float t rd (a +. bf)
+      | Minicu.Ast.Sub -> set_float t rd (a -. bf)
+      | Minicu.Ast.Mul -> set_float t rd (a *. bf)
+      | Minicu.Ast.Div -> set_float t rd (a /. bf)
+      | Minicu.Ast.Lt | Minicu.Ast.Le | Minicu.Ast.Gt | Minicu.Ast.Ge
+      | Minicu.Ast.Eq | Minicu.Ast.Ne ->
+          set_bool t rd (float_cond op a bf)
+      | _ -> fallback ())
+  | _ -> fallback ()
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter loop                                                    *)
@@ -430,35 +533,43 @@ let interp (p : Bytecode.prog) (t : thread) =
         copy_reg t (b + wd ops (pc + 1)) (b + wd ops (pc + 2));
         go (pc + 3)
     | 6 (* special *) ->
-        let x, y, z =
-          match wd ops (pc + 2) with
-          | 0 -> t.tidx
-          | 1 -> t.blk.Compile.bidx
-          | 2 -> t.blk.Compile.bdim
-          | _ -> t.blk.Compile.gdim
-        in
-        set_dim3_v t (b + wd ops (pc + 1)) x y z;
+        (let d = b + wd ops (pc + 1) in
+         match wd ops (pc + 2) with
+         | 0 -> set_dim3_v t d t.tx t.ty t.tz
+         | sp ->
+             let x, y, z =
+               match sp with
+               | 1 -> t.blk.Compile.bidx
+               | 2 -> t.blk.Compile.bdim
+               | _ -> t.blk.Compile.gdim
+             in
+             set_dim3_v t d x y z);
         go (pc + 3)
     | 7 (* special.comp *) ->
-        let x, y, z =
-          match wd ops (pc + 2) with
-          | 0 -> t.tidx
-          | 1 -> t.blk.Compile.bidx
-          | 2 -> t.blk.Compile.bdim
-          | _ -> t.blk.Compile.gdim
-        in
-        let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
-        set_int t (b + wd ops (pc + 1)) (dim3_field x y z f);
+        let c = wd ops (pc + 3) in
+        set_int t
+          (b + wd ops (pc + 1))
+          (match wd ops (pc + 2) with
+          | 0 -> dim3_field p t.tx t.ty t.tz c
+          | sp ->
+              let x, y, z =
+                match sp with
+                | 1 -> t.blk.Compile.bidx
+                | 2 -> t.blk.Compile.bdim
+                | _ -> t.blk.Compile.gdim
+              in
+              dim3_field p x y z c);
         go (pc + 4)
     | 8 (* member *) ->
         (let r = b + wd ops (pc + 2) in
-         let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
+         let c = wd ops (pc + 3) in
          let d = b + wd ops (pc + 1) in
          match tag_of t r with
-         | 4 -> set_int t d (dim3_field (geti t r) (getib t r) (getic t r) f)
-         | 1 -> set_int t d (dim3_field (geti t r) 1 1 f)
+         | 4 -> set_int t d (dim3_field p (geti t r) (getib t r) (getic t r) c)
+         | 1 -> set_int t d (dim3_field p (geti t r) 1 1 c)
          | _ ->
-             Value.error "member access %S on non-dim3 %a" f Value.pp (box t r));
+             Value.error "member access %S on non-dim3 %a" (field_name p c)
+               Value.pp (box t r));
         go (pc + 4)
     | 9 (* neg *) ->
         (let r = b + wd ops (pc + 2) in
@@ -469,112 +580,19 @@ let interp (p : Bytecode.prog) (t : thread) =
     | 10 (* not *) ->
         set_bool t (b + wd ops (pc + 1)) (not (get_bool t (b + wd ops (pc + 2))));
         go (pc + 3)
-    | 11 (* binop *) -> (
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        let rd = b + wd ops (pc + 2)
-        and ra = b + wd ops (pc + 3)
-        and rb = b + wd ops (pc + 4) in
-        let ta = tag_of t ra and tb = tag_of t rb in
-        let fallback () =
-          set_value t rd (Compile.eval_binop op (box t ra) (box t rb))
-        in
-        if ta = tag_int && tb = tag_int then
-          let a = geti t ra and bi = geti t rb in
-          match op with
-          | Minicu.Ast.Add -> set_int t rd (a + bi)
-          | Minicu.Ast.Sub -> set_int t rd (a - bi)
-          | Minicu.Ast.Mul -> set_int t rd (a * bi)
-          | Minicu.Ast.Div ->
-              if bi = 0 then Value.error "integer division by zero";
-              set_int t rd (a / bi)
-          | Minicu.Ast.Mod ->
-              if bi = 0 then Value.error "integer modulo by zero";
-              set_int t rd (a mod bi)
-          | Minicu.Ast.Lt -> set_bool t rd (a < bi)
-          | Minicu.Ast.Le -> set_bool t rd (a <= bi)
-          | Minicu.Ast.Gt -> set_bool t rd (a > bi)
-          | Minicu.Ast.Ge -> set_bool t rd (a >= bi)
-          | Minicu.Ast.Eq -> set_bool t rd (a = bi)
-          | Minicu.Ast.Ne -> set_bool t rd (a <> bi)
-          | Minicu.Ast.BAnd -> set_int t rd (a land bi)
-          | Minicu.Ast.BOr -> set_int t rd (a lor bi)
-          | Minicu.Ast.BXor -> set_int t rd (a lxor bi)
-          | Minicu.Ast.Shl -> set_int t rd (a lsl bi)
-          | Minicu.Ast.Shr -> set_int t rd (a asr bi)
-          | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ()
-        else if
-          (ta = tag_float || tb = tag_float)
-          && (ta = tag_int || ta = tag_float)
-          && (tb = tag_int || tb = tag_float)
-        then
-          let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
-          and bf = if tb = tag_float then getf t rb else float_of_int (geti t rb)
-          in
-          match op with
-          | Minicu.Ast.Add -> set_float t rd (a +. bf)
-          | Minicu.Ast.Sub -> set_float t rd (a -. bf)
-          | Minicu.Ast.Mul -> set_float t rd (a *. bf)
-          | Minicu.Ast.Div -> set_float t rd (a /. bf)
-          | Minicu.Ast.Lt -> set_bool t rd (Float.compare a bf < 0)
-          | Minicu.Ast.Le -> set_bool t rd (Float.compare a bf <= 0)
-          | Minicu.Ast.Gt -> set_bool t rd (Float.compare a bf > 0)
-          | Minicu.Ast.Ge -> set_bool t rd (Float.compare a bf >= 0)
-          | Minicu.Ast.Eq -> set_bool t rd (a = bf)
-          | Minicu.Ast.Ne -> set_bool t rd (a <> bf)
-          | _ -> fallback ()
-        else fallback ());
+    | 11 (* binop *) ->
+        binop_rr t
+          (Array.unsafe_get binop_tbl (wd ops (pc + 1)))
+          (b + wd ops (pc + 2))
+          (b + wd ops (pc + 3))
+          (b + wd ops (pc + 4));
         go (pc + 5)
-    | 12 (* binop.int *) -> (
-        (* Same semantics as opcode 11 with an Int right operand; the
-           literal never needs materializing. *)
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        let rd = b + wd ops (pc + 2)
-        and ra = b + wd ops (pc + 3)
-        and n = wd ops (pc + 4) in
-        let fallback () =
-          set_value t rd (Compile.eval_binop op (box t ra) (Value.Int n))
-        in
-        match tag_of t ra with
-        | 1 -> (
-            let a = geti t ra in
-            match op with
-            | Minicu.Ast.Add -> set_int t rd (a + n)
-            | Minicu.Ast.Sub -> set_int t rd (a - n)
-            | Minicu.Ast.Mul -> set_int t rd (a * n)
-            | Minicu.Ast.Div ->
-                if n = 0 then Value.error "integer division by zero";
-                set_int t rd (a / n)
-            | Minicu.Ast.Mod ->
-                if n = 0 then Value.error "integer modulo by zero";
-                set_int t rd (a mod n)
-            | Minicu.Ast.Lt -> set_bool t rd (a < n)
-            | Minicu.Ast.Le -> set_bool t rd (a <= n)
-            | Minicu.Ast.Gt -> set_bool t rd (a > n)
-            | Minicu.Ast.Ge -> set_bool t rd (a >= n)
-            | Minicu.Ast.Eq -> set_bool t rd (a = n)
-            | Minicu.Ast.Ne -> set_bool t rd (a <> n)
-            | Minicu.Ast.BAnd -> set_int t rd (a land n)
-            | Minicu.Ast.BOr -> set_int t rd (a lor n)
-            | Minicu.Ast.BXor -> set_int t rd (a lxor n)
-            | Minicu.Ast.Shl -> set_int t rd (a lsl n)
-            | Minicu.Ast.Shr -> set_int t rd (a asr n)
-            | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ())
-        | 2 -> (
-            let a = getf t ra in
-            let bf = float_of_int n in
-            match op with
-            | Minicu.Ast.Add -> set_float t rd (a +. bf)
-            | Minicu.Ast.Sub -> set_float t rd (a -. bf)
-            | Minicu.Ast.Mul -> set_float t rd (a *. bf)
-            | Minicu.Ast.Div -> set_float t rd (a /. bf)
-            | Minicu.Ast.Lt -> set_bool t rd (Float.compare a bf < 0)
-            | Minicu.Ast.Le -> set_bool t rd (Float.compare a bf <= 0)
-            | Minicu.Ast.Gt -> set_bool t rd (Float.compare a bf > 0)
-            | Minicu.Ast.Ge -> set_bool t rd (Float.compare a bf >= 0)
-            | Minicu.Ast.Eq -> set_bool t rd (a = bf)
-            | Minicu.Ast.Ne -> set_bool t rd (a <> bf)
-            | _ -> fallback ())
-        | _ -> fallback ());
+    | 12 (* binop.int *) ->
+        binop_ri t
+          (Array.unsafe_get binop_tbl (wd ops (pc + 1)))
+          (b + wd ops (pc + 2))
+          (b + wd ops (pc + 3))
+          (wd ops (pc + 4));
         go (pc + 5)
     | 13 (* binop.float *) -> (
         let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
@@ -593,36 +611,31 @@ let interp (p : Bytecode.prog) (t : thread) =
           | Minicu.Ast.Sub -> set_float t rd (a -. f)
           | Minicu.Ast.Mul -> set_float t rd (a *. f)
           | Minicu.Ast.Div -> set_float t rd (a /. f)
-          | Minicu.Ast.Lt -> set_bool t rd (Float.compare a f < 0)
-          | Minicu.Ast.Le -> set_bool t rd (Float.compare a f <= 0)
-          | Minicu.Ast.Gt -> set_bool t rd (Float.compare a f > 0)
-          | Minicu.Ast.Ge -> set_bool t rd (Float.compare a f >= 0)
-          | Minicu.Ast.Eq -> set_bool t rd (a = f)
-          | Minicu.Ast.Ne -> set_bool t rd (a <> f)
+          | Minicu.Ast.Lt | Minicu.Ast.Le | Minicu.Ast.Gt | Minicu.Ast.Ge
+          | Minicu.Ast.Eq | Minicu.Ast.Ne ->
+              set_bool t rd (float_cond op a f)
           | _ -> fallback ()
         else fallback ());
         go (pc + 5)
     | 14 (* cmp.jf *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
         go
-          (if cmp2 t op (b + wd ops (pc + 2)) (b + wd ops (pc + 3)) then pc + 5
+          (if cmp2 t (wd ops (pc + 1)) (b + wd ops (pc + 2)) (b + wd ops (pc + 3))
+           then pc + 5
            else wd ops (pc + 4))
     | 15 (* cmp.jf.int *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
         go
-          (if cmp1 t op (b + wd ops (pc + 2)) (wd ops (pc + 3)) then pc + 5
+          (if cmp1 t (wd ops (pc + 1)) (b + wd ops (pc + 2)) (wd ops (pc + 3))
+           then pc + 5
            else wd ops (pc + 4))
     | 16 (* cmp.jt *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
         go
-          (if cmp2 t op (b + wd ops (pc + 2)) (b + wd ops (pc + 3)) then
-             wd ops (pc + 4)
+          (if cmp2 t (wd ops (pc + 1)) (b + wd ops (pc + 2)) (b + wd ops (pc + 3))
+           then wd ops (pc + 4)
            else pc + 5)
     | 17 (* cmp.jt.int *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
         go
-          (if cmp1 t op (b + wd ops (pc + 2)) (wd ops (pc + 3)) then
-             wd ops (pc + 4)
+          (if cmp1 t (wd ops (pc + 1)) (b + wd ops (pc + 2)) (wd ops (pc + 3))
+           then wd ops (pc + 4)
            else pc + 5)
     | 18 (* cast.int *) ->
         set_int t (b + wd ops (pc + 1)) (get_int t (b + wd ops (pc + 2)));
@@ -643,8 +656,8 @@ let interp (p : Bytecode.prog) (t : thread) =
         copy_reg t (b + wd ops (pc + 1)) r;
         go (pc + 3)
     | 23 (* dim3 *) ->
-        (* Operands are [cast.int] results, so the coercions cannot fail;
-           bind z, y, x in the closure engine's right-to-left order anyway. *)
+        (* Coerces z, then y, then x: the closure engine's right-to-left
+           order, for the components whose [cast.int] lowering dropped. *)
         let vz = get_int t (b + wd ops (pc + 4)) in
         let vy = get_int t (b + wd ops (pc + 3)) in
         let vx = get_int t (b + wd ops (pc + 2)) in
@@ -1028,61 +1041,113 @@ let interp (p : Bytecode.prog) (t : thread) =
           t.pc <- pc + 1;
           t.status <- T_at_sync
         end
-    (* Superinstructions — rotated-loop bottoms fused by the packer. Each
-       arm runs the exact sub-step bodies (charge, increment with opcode-12
-       Add semantics, fused compare-branch) in unfused order. *)
+    (* Superinstructions fused by the packer. Each arm runs the exact
+       sub-step bodies (charge, increment with [binop_ri] Add semantics,
+       compare-branch) in unfused order. *)
     | 59 (* loop.cc: charge; d += 1; cmp.jt *) ->
         charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
         let d = b + wd ops (pc + 3) in
-        (match tag_of t d with
-        | 1 -> set_int t d (geti t d + 1)
-        | 2 -> set_float t d (getf t d +. 1.0)
-        | _ ->
-            set_value t d
-              (Compile.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
-        let ra = b + wd ops (pc + 5) and rb = b + wd ops (pc + 6) in
-        (* inline the dominant int-int Lt case (counting loops) *)
-        let taken =
-          if wd ops (pc + 4) = 5 && tag_of t ra = 1 && tag_of t rb = 1 then
-            geti t ra < geti t rb
-          else cmp2 t (Array.unsafe_get binop_tbl (wd ops (pc + 4))) ra rb
-        in
-        go (if taken then wd ops (pc + 7) else pc + 8)
+        if tag_of t d = tag_int then set_int t d (geti t d + 1)
+        else binop_ri t Minicu.Ast.Add d d 1;
+        go
+          (if cmp2 t (wd ops (pc + 4)) (b + wd ops (pc + 5)) (b + wd ops (pc + 6))
+           then wd ops (pc + 7)
+           else pc + 8)
     | 60 (* loop.cci: charge; d += 1; cmp.jt.int *) ->
         charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
         let d = b + wd ops (pc + 3) in
-        (match tag_of t d with
-        | 1 -> set_int t d (geti t d + 1)
-        | 2 -> set_float t d (getf t d +. 1.0)
-        | _ ->
-            set_value t d
-              (Compile.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
-        let ra = b + wd ops (pc + 5) in
-        (* inline the dominant int Lt case (counting loops) *)
-        let taken =
-          if wd ops (pc + 4) = 5 && tag_of t ra = 1 then
-            geti t ra < wd ops (pc + 6)
-          else
-            cmp1 t
-              (Array.unsafe_get binop_tbl (wd ops (pc + 4)))
-              ra
-              (wd ops (pc + 6))
-        in
-        go (if taken then wd ops (pc + 7) else pc + 8)
+        if tag_of t d = tag_int then set_int t d (geti t d + 1)
+        else binop_ri t Minicu.Ast.Add d d 1;
+        go
+          (if cmp1 t (wd ops (pc + 4)) (b + wd ops (pc + 5)) (wd ops (pc + 6))
+           then wd ops (pc + 7)
+           else pc + 8)
     | 61 (* charge.jt: charge; cmp.jt *) ->
         charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
         go
-          (if cmp2 t op (b + wd ops (pc + 4)) (b + wd ops (pc + 5)) then
-             wd ops (pc + 6)
+          (if cmp2 t (wd ops (pc + 3)) (b + wd ops (pc + 4)) (b + wd ops (pc + 5))
+           then wd ops (pc + 6)
            else pc + 7)
     | 62 (* charge.jti: charge; cmp.jt.int *) ->
         charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
         go
-          (if cmp1 t op (b + wd ops (pc + 4)) (wd ops (pc + 5)) then
-             wd ops (pc + 6)
+          (if cmp1 t (wd ops (pc + 3)) (b + wd ops (pc + 4)) (wd ops (pc + 5))
+           then wd ops (pc + 6)
            else pc + 7)
+    (* Per-operator binops: the int x int case inline, everything else
+       (including division by zero) through the generic code. *)
+    | 63 (* add *) ->
+        (let d = b + wd ops (pc + 1)
+         and ra = b + wd ops (pc + 2)
+         and rb = b + wd ops (pc + 3) in
+         if tag_of t ra = tag_int && tag_of t rb = tag_int then
+           set_int t d (geti t ra + geti t rb)
+         else binop_rr t Minicu.Ast.Add d ra rb);
+        go (pc + 4)
+    | 64 (* sub *) ->
+        (let d = b + wd ops (pc + 1)
+         and ra = b + wd ops (pc + 2)
+         and rb = b + wd ops (pc + 3) in
+         if tag_of t ra = tag_int && tag_of t rb = tag_int then
+           set_int t d (geti t ra - geti t rb)
+         else binop_rr t Minicu.Ast.Sub d ra rb);
+        go (pc + 4)
+    | 65 (* mul *) ->
+        (let d = b + wd ops (pc + 1)
+         and ra = b + wd ops (pc + 2)
+         and rb = b + wd ops (pc + 3) in
+         if tag_of t ra = tag_int && tag_of t rb = tag_int then
+           set_int t d (geti t ra * geti t rb)
+         else binop_rr t Minicu.Ast.Mul d ra rb);
+        go (pc + 4)
+    | 66 (* add.i *) ->
+        (let d = b + wd ops (pc + 1) and ra = b + wd ops (pc + 2) in
+         let n = wd ops (pc + 3) in
+         if tag_of t ra = tag_int then set_int t d (geti t ra + n)
+         else binop_ri t Minicu.Ast.Add d ra n);
+        go (pc + 4)
+    | 67 (* sub.i *) ->
+        (let d = b + wd ops (pc + 1) and ra = b + wd ops (pc + 2) in
+         let n = wd ops (pc + 3) in
+         if tag_of t ra = tag_int then set_int t d (geti t ra - n)
+         else binop_ri t Minicu.Ast.Sub d ra n);
+        go (pc + 4)
+    | 68 (* div.i *) ->
+        (let d = b + wd ops (pc + 1) and ra = b + wd ops (pc + 2) in
+         let n = wd ops (pc + 3) in
+         if tag_of t ra = tag_int && n <> 0 then set_int t d (geti t ra / n)
+         else binop_ri t Minicu.Ast.Div d ra n);
+        go (pc + 4)
+    (* Charge fusion: a loop guard's fall-through charge, and loop back
+       edges threaded through the body's first charge. *)
+    | 69 (* cmp.jf.c: cmp.jf; charge *) ->
+        if cmp2 t (wd ops (pc + 1)) (b + wd ops (pc + 2)) (b + wd ops (pc + 3))
+        then begin
+          charge_tag t (wd ops (pc + 5)) (Array.unsafe_get fpool (wd ops (pc + 6)));
+          go (pc + 7)
+        end
+        else go (wd ops (pc + 4))
+    | 70 (* cmp.jfi.c: cmp.jf.int; charge *) ->
+        if cmp1 t (wd ops (pc + 1)) (b + wd ops (pc + 2)) (wd ops (pc + 3)) then begin
+          charge_tag t (wd ops (pc + 5)) (Array.unsafe_get fpool (wd ops (pc + 6)));
+          go (pc + 7)
+        end
+        else go (wd ops (pc + 4))
+    | 71 (* charge.jt.c: charge; cmp.jt -> (charge; @) *) ->
+        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
+        if cmp2 t (wd ops (pc + 3)) (b + wd ops (pc + 4)) (b + wd ops (pc + 5))
+        then begin
+          charge_tag t (wd ops (pc + 6)) (Array.unsafe_get fpool (wd ops (pc + 7)));
+          go (wd ops (pc + 8))
+        end
+        else go (pc + 9)
+    | 72 (* charge.jti.c: charge; cmp.jt.int -> (charge; @) *) ->
+        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
+        if cmp1 t (wd ops (pc + 3)) (b + wd ops (pc + 4)) (wd ops (pc + 5)) then begin
+          charge_tag t (wd ops (pc + 6)) (Array.unsafe_get fpool (wd ops (pc + 7)));
+          go (wd ops (pc + 8))
+        end
+        else go (pc + 9)
     | _ -> assert false
   in
   go t.pc
@@ -1109,15 +1174,24 @@ let make_thread (blk : Compile.bctx) : thread =
     costs = Array.make Metrics.num_tags 0.0;
     tot = Array.make 1 0.0;
     default_idx = 0;
-    tidx = (0, 0, 0);
+    tx = 0;
+    ty = 0;
+    tz = 0;
     blk;
     status = T_not_started;
     wdst = 0;
   }
 
-type scratch = { mutable threads : thread array }
+(* [args] is the per-block argument template: the kernel arguments are
+   unboxed into its registers once per block, then copied lane by lane
+   into each thread's frame. Created on first use and reused, like the
+   thread records. *)
+type scratch = {
+  mutable threads : thread array;
+  mutable args : thread option;
+}
 
-let create_scratch () = { threads = [||] }
+let create_scratch () = { threads = [||]; args = None }
 
 let ensure_threads (s : scratch) (blk : Compile.bctx) n =
   let have = Array.length s.threads in
@@ -1127,14 +1201,36 @@ let ensure_threads (s : scratch) (blk : Compile.bctx) n =
       Array.init n (fun i -> if i < have then old.(i) else make_thread blk)
   end
 
+(* Unbox [args] into the template's registers; returns their count. *)
+let fill_template (s : scratch) (blk : Compile.bctx) (args : Value.t list) =
+  let tm =
+    match s.args with
+    | Some tm -> tm
+    | None ->
+        let tm = make_thread blk in
+        s.args <- Some tm;
+        tm
+  in
+  let rec fill i = function
+    | [] -> i
+    | v :: rest ->
+        grow_regs tm (i + 1);
+        set_value tm i v;
+        fill (i + 1) rest
+  in
+  (tm, fill 0 args)
+
 (* Reset a pooled thread for a fresh block run: rebind the block context,
    zero the cost counters, point the pc at the kernel entry and seed the
-   frame with the launch arguments. Registers beyond the arguments keep
-   stale payloads but get Unit tags, exactly like a fresh closure frame. *)
-let reset_thread (t : thread) (blk : Compile.bctx) ~tidx ~default_idx ~entry
-    ~nregs ~(args : Value.t array) =
+   frame with the launch arguments from the template [tm]. Registers
+   beyond the arguments keep stale payloads but get Unit tags, exactly
+   like a fresh closure frame. Allocates nothing. *)
+let reset_thread (t : thread) (blk : Compile.bctx) ~tx ~ty ~tz ~default_idx
+    ~entry ~nregs (tm : thread) nargs =
   t.blk <- blk;
-  t.tidx <- tidx;
+  t.tx <- tx;
+  t.ty <- ty;
+  t.tz <- tz;
   t.default_idx <- default_idx;
   Array.fill t.costs 0 (Array.length t.costs) 0.0;
   t.tot.(0) <- 0.0;
@@ -1143,8 +1239,14 @@ let reset_thread (t : thread) (blk : Compile.bctx) ~tidx ~default_idx ~entry
   t.pc <- entry;
   grow_regs t nregs;
   t.nregs <- nregs;
-  Bytes.fill t.tags 0 nregs '\000';
-  Array.iteri (fun i v -> set_value t i v) args;
+  for r = 0 to nargs - 1 do
+    set_tag t r (tag_of tm r);
+    Array.unsafe_set t.ia r (Array.unsafe_get tm.ia r);
+    Array.unsafe_set t.ib r (Array.unsafe_get tm.ib r);
+    Array.unsafe_set t.ic r (Array.unsafe_get tm.ic r);
+    Array.unsafe_set t.fa r (Array.unsafe_get tm.fa r)
+  done;
+  Bytes.fill t.tags nargs (nregs - nargs) '\000';
   t.status <- T_not_started;
   t.wdst <- 0
 
@@ -1180,22 +1282,22 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
       racecheck;
     }
   in
-  let arg_values = Array.of_list args in
-  if Array.length arg_values <> kernel.bf_nparams then
+  let nargs = List.length args in
+  if nargs <> kernel.bf_nparams then
     Value.error "launch of %S: expected %d arguments, got %d" kernel.bf_name
-      kernel.bf_nparams (Array.length arg_values);
+      kernel.bf_nparams nargs;
   let entry_cost =
     if kernel.bf_contains_launch then float_of_int cfg.Config.cdp_entry_cost
     else 0.0
   in
   ensure_threads s blk nthreads;
   let threads = s.threads in
+  let tm, nargs = fill_template s blk args in
   let nregs = max kernel.bf_nregs 1 in
   let entry = p.bp_woff.(kernel.bf_entry) in
   for i = 0 to nthreads - 1 do
-    let tx = i mod bx and ty = i / bx mod by and tz = i / (bx * by) in
-    reset_thread threads.(i) blk ~tidx:(tx, ty, tz) ~default_idx ~entry ~nregs
-      ~args:arg_values
+    reset_thread threads.(i) blk ~tx:(i mod bx) ~ty:(i / bx mod by)
+      ~tz:(i / (bx * by)) ~default_idx ~entry ~nregs tm nargs
   done;
   let start i =
     let t = threads.(i) in

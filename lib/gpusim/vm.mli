@@ -9,8 +9,8 @@
     bit-for-bit. *)
 
 (** Reusable per-scheduler arena of thread records (register banks, call
-    stacks, cost counters). One scratch must only be used by one block
-    execution at a time. *)
+    stacks, cost counters) and the per-block argument template. One
+    scratch must only be used by one block execution at a time. *)
 type scratch
 
 val create_scratch : unit -> scratch

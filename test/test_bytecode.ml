@@ -128,25 +128,25 @@ let run_engine ~cfg ~grid ~block ~kernel ~mk_args engine src =
   | () -> Ok (observe_device dev)
   | exception e -> Error (Printexc.to_string e)
 
+let check_same closure bytecode =
+  match (closure, bytecode) with
+  | Ok c, Ok b ->
+      if c <> b then
+        Alcotest.failf "engines diverge:@.--- closure@.%s@.--- bytecode@.%s" c
+          b
+  | Error c, Error b ->
+      if c <> b then
+        Alcotest.failf "engines raise differently:@.closure:  %s@.bytecode: %s"
+          c b
+  | Ok _, Error e ->
+      Alcotest.failf "closure completed but bytecode raised: %s" e
+  | Error e, Ok _ -> Alcotest.failf "bytecode completed but closure raised: %s" e
+
 let engine_parity name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
     ?(block = (1, 1, 1)) ~kernel ~mk_args src =
   t name (fun () ->
       let run = run_engine ~cfg ~grid ~block ~kernel ~mk_args in
-      let closure = run Config.Closure src in
-      let bytecode = run Config.Bytecode src in
-      match (closure, bytecode) with
-      | Ok c, Ok b ->
-          if c <> b then
-            Alcotest.failf "engines diverge:@.--- closure@.%s@.--- bytecode@.%s"
-              c b
-      | Error c, Error b ->
-          if c <> b then
-            Alcotest.failf
-              "engines raise differently:@.closure:  %s@.bytecode: %s" c b
-      | Ok _, Error e ->
-          Alcotest.failf "closure completed but bytecode raised: %s" e
-      | Error e, Ok _ ->
-          Alcotest.failf "bytecode completed but closure raised: %s" e)
+      check_same (run Config.Closure src) (run Config.Bytecode src))
 
 let out_ints n dev = [ Value.Ptr (Device.alloc_int_zeros dev n) ]
 let out_floats n dev = [ Value.Ptr (Device.alloc_float_zeros dev n) ]
@@ -264,6 +264,166 @@ __global__ void k(int* o) {
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fused memory operands: lowering shape and error order               *)
+(* ------------------------------------------------------------------ *)
+
+(* [load]/[addr]/[dim3] coerce their own operands, so lowering keeps a
+   separate [as_ptr]/[cast.int] only where something that can raise or
+   have an effect is evaluated between the coercion and its consumer
+   (DESIGN.md §9). These tests pin both halves of that rule on the logical
+   code stream ([bp_code]): what is dropped, and — through error order
+   that differs observably if it were dropped — what is kept. *)
+
+let lowered src =
+  (Bytecode.compile Config.test_config (Minicu.Parser.program src))
+    .Bytecode.bp_code
+
+(* The register an instruction writes, for the instructions these small
+   kernels lower to. *)
+let writes = function
+  | Bytecode.I_const_int (d, _)
+  | I_mov (d, _)
+  | I_special_comp (d, _, _)
+  | I_member (d, _, _)
+  | I_binop (_, d, _, _)
+  | I_binop_int (_, d, _, _)
+  | I_cast_int (d, _)
+  | I_as_ptr (d, _)
+  | I_dim3 (d, _, _, _)
+  | I_load (d, _, _, _) ->
+      Some d
+  | _ -> None
+
+(* Coercions feeding an operand [operands] picks out of an instruction:
+   the last write to that register before it is a [cast.int]/[as_ptr]. *)
+let feeding operands code =
+  let n = ref 0 in
+  Array.iteri
+    (fun c i ->
+      List.iter
+        (fun r ->
+          let rec back k =
+            if k >= 0 then
+              if writes code.(k) = Some r then
+                match code.(k) with
+                | Bytecode.I_cast_int _ | I_as_ptr _ -> incr n
+                | _ -> ()
+              else back (k - 1)
+          in
+          back (c - 1))
+        (operands i))
+    code;
+  !n
+
+let casts_feeding_loads =
+  feeding (function Bytecode.I_load (_, _, i, _) -> [ i ] | _ -> [])
+
+let as_ptrs_feeding_loads =
+  feeding (function Bytecode.I_load (_, p, _, _) -> [ p ] | _ -> [])
+
+let casts_feeding_dim3 =
+  feeding (function Bytecode.I_dim3 (_, x, y, z) -> [ x; y; z ] | _ -> [])
+
+let kernel_of body = Fmt.str "__global__ void k(int* a, int i, int* o) { %s }" body
+
+let shape_tests =
+  let shape what body ~as_ptrs =
+    t ("lowering: " ^ what) (fun () ->
+        let code = lowered (kernel_of body) in
+        Alcotest.(check int) (what ^ ": cast.int feeding a load") 0
+          (casts_feeding_loads code);
+        Alcotest.(check int) (what ^ ": as_ptr feeding a load") as_ptrs
+          (as_ptrs_feeding_loads code))
+  in
+  [
+    shape "a[i] loads through the variables' own registers" "o[0] = a[i];"
+      ~as_ptrs:0;
+    shape "a[3] coerces nothing" "o[0] = a[3];" ~as_ptrs:0;
+    shape "a[threadIdx.x] coerces nothing" "o[0] = a[threadIdx.x];"
+      ~as_ptrs:0;
+    shape "a[a[i]] keeps the outer as_ptr" "o[0] = a[a[i]];" ~as_ptrs:1;
+    t "lowering: dim3 keeps only casts followed by non-quiet code" (fun () ->
+        let casts src =
+          casts_feeding_dim3
+            (lowered
+               (Fmt.str
+                  "__global__ void k(int* o, int x, int y, int z) { dim3 d = \
+                   %s; o[0] = d.x; }"
+                  src))
+        in
+        Alcotest.(check int) "dim3(x, 2, z)" 0 (casts "dim3(x, 2, z)");
+        Alcotest.(check int) "dim3(x, y / 2, z): z stays" 1
+          (casts "dim3(x, y / 2, z)");
+        Alcotest.(check int) "dim3(x / 2, y, z): z, y stay" 2
+          (casts "dim3(x / 2, y, z)"));
+  ]
+
+(* Each fixture runs both engines (exception text, memory and metrics must
+   match), checks the outcome is the interesting one, and checks the
+   lowered shape the outcome depends on. *)
+let error_order name ~mk_args ~outcome ~shape src =
+  t name (fun () ->
+      let run =
+        run_engine ~cfg:Config.test_config ~grid:(1, 1, 1) ~block:(1, 1, 1)
+          ~kernel:"k" ~mk_args
+      in
+      let bytecode = run Config.Bytecode src in
+      check_same (run Config.Closure src) bytecode;
+      outcome bytecode;
+      shape (lowered src))
+
+let raises fragment = function
+  | Error e when Test_analysis.contains e fragment -> ()
+  | Error e -> Alcotest.failf "raised %S, expected %S" e fragment
+  | Ok _ -> Alcotest.failf "completed, expected an error containing %S" fragment
+
+let as_ptrs n code =
+  Alcotest.(check int) "as_ptr feeding a load" n (as_ptrs_feeding_loads code)
+
+let error_order_tests =
+  let ints dev xs = Value.Ptr (Device.alloc_ints dev xs) in
+  [
+    error_order "p[i] on a non-pointer p raises from the load itself"
+      ~mk_args:(fun dev -> [ Value.Int 5; Value.Int 0; ints dev [| 0 |] ])
+      ~outcome:(raises "expected a pointer, got 5") ~shape:(as_ptrs 0)
+      "__global__ void k(int* p, int i, int* o) { o[0] = p[i]; }";
+    error_order "p[q[k]]: the pointer error precedes the inner OOB load"
+      ~mk_args:(fun dev ->
+        [ Value.Int 5; ints dev [| 1; 2 |]; Value.Int 100; ints dev [| 0 |] ])
+      ~outcome:(raises "expected a pointer, got 5") ~shape:(as_ptrs 1)
+      "__global__ void k(int* p, int* q, int k, int* o) { o[0] = p[q[k]]; }";
+    error_order "a float index is truncated by the load"
+      ~mk_args:(fun dev -> [ ints dev [| 10; 20; 30 |]; Value.Float 2.9 ])
+      ~outcome:(function
+        | Ok obs when Test_analysis.contains obs "30 20 30" -> ()
+        | Ok obs -> Alcotest.failf "expected o = 30 20 30 in@.%s" obs
+        | Error e -> Alcotest.failf "raised %s" e)
+      ~shape:(fun code ->
+        Alcotest.(check int) "cast.int feeding a load" 0
+          (casts_feeding_loads code))
+      "__global__ void k(int* o, int i) { o[0] = o[i]; }";
+    error_order "dim3(x, y/0, z): a non-int z raises before the division"
+      ~mk_args:(fun dev ->
+        [ ints dev [| 0 |]; Value.Int 1; Value.Int 2; ints dev [| 0 |] ])
+      ~outcome:(raises "expected an int, got ptr(")
+      ~shape:(fun code ->
+        Alcotest.(check int) "z keeps its cast.int" 1 (casts_feeding_dim3 code))
+      "__global__ void k(int* o, int x, int y, int* z) { dim3 d = dim3(x, y / \
+       0, z); o[0] = d.x; }";
+    error_order "division by a zero literal raises from div.i"
+      ~mk_args:(fun dev -> [ ints dev [| 0 |]; Value.Int 7 ])
+      ~outcome:(raises "integer division by zero")
+      ~shape:(fun code ->
+        Alcotest.(check bool) "div.i emitted" true
+          (Array.exists
+             (function
+               | Bytecode.I_binop_int (Minicu.Ast.Div, _, _, 0) -> true
+               | _ -> false)
+             code))
+      "__global__ void k(int* o, int n) { o[0] = n / 0; }";
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Layer 3: sanitizer parity (Racecheck under the bytecode engine)     *)
 (* ------------------------------------------------------------------ *)
 
@@ -340,4 +500,5 @@ let registry_tests =
     (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ())
 
 let suite =
-  disasm_tests @ edge_tests @ sanitizer_tests @ combo_tests @ registry_tests
+  disasm_tests @ edge_tests @ shape_tests @ error_order_tests @ sanitizer_tests
+  @ combo_tests @ registry_tests
