@@ -322,11 +322,12 @@ type observation = {
           with {!Gpusim.Config.t.check} set (the oracle's sanitize mode). *)
 }
 
-(** [run ~cfg compiled case] — load, drive and observe one variant. The
-    driver allocates the workload buffers first (so their ids are dense
-    from 0), maps the parent's leading parameters by name, and snapshots
-    exactly the driver-allocated buffers afterwards. May raise. *)
-let run ~cfg (c : compiled) (case : Gen.case) : observation =
+(** [run_device ~cfg compiled case] — load and drive one variant to
+    completion; returns the device and the number of driver-allocated
+    buffers. The driver allocates the workload buffers first (so their
+    ids are dense from 0) and maps the parent's leading parameters by
+    name. May raise. *)
+let run_device ~cfg (c : compiled) (case : Gen.case) : Gpusim.Device.t * int =
   let dev = Gpusim.Device.create ~cfg () in
   Gpusim.Device.load_program dev c.c_prog ~auto_params:c.c_auto;
   let nv = Array.length case.degs in
@@ -352,6 +353,12 @@ let run ~cfg (c : compiled) (case : Gen.case) : observation =
   let block = if wide then (32, 1, 1) else (1, 1, 1) in
   Gpusim.Device.launch dev ~kernel:"parent" ~grid ~block ~args;
   ignore (Gpusim.Device.sync dev);
+  (dev, user_buffers)
+
+(** [run ~cfg compiled case] — {!run_device}, observed: the snapshot holds
+    exactly the driver-allocated buffers. May raise. *)
+let run ~cfg (c : compiled) (case : Gen.case) : observation =
+  let dev, user_buffers = run_device ~cfg c case in
   let m = Gpusim.Device.metrics dev in
   {
     obs_mem = Gpusim.Device.dump_memory dev ~first:user_buffers;

@@ -1,72 +1,30 @@
-(* Cross-engine differential suite: the bytecode VM must be
-   observationally identical to the closure interpreter.
+(* The simulator's frozen verdicts, plus the bytecode lowering's shape.
 
    Four layers, ordered by how bugs have historically surfaced:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
         become reviewable diffs (CORPUS_PROMOTE=1 rewrites);
      2. hand-written edge-semantics fixtures (NaN/inf, division by zero,
-        checked shared-array OOB, atomics ordering) — where unboxing bugs
-        hide: both engines must produce bit-identical memory, metrics,
-        and *exceptions*;
-     3. sanitizer parity — dpcheck's dynamic findings (race reports, OOB)
-        must be byte-identical under both engines;
+        checked shared-array OOB, atomics ordering, error order) — where
+        unboxing bugs hide: memory, metrics and *exceptions* must match
+        the golden line frozen while the closure interpreter still ran
+        beside the VM and both agreed;
+     3. sanitizer findings — dpcheck's dynamic findings (race reports,
+        OOB) on the bad_* corpus fixtures, also frozen;
      4. the benchmark matrix — every Table I benchmark under all 8 pass
         combos, plus the full Small registry under the complete pipeline,
-        asserting bit-identical memory dumps, launch metrics, and
-        simulated time.
+        against frozen fingerprints.
 
-   Comparisons go through a printed representation in which every float
-   (memory values, metric cycle counters, simulated time) is rendered as
-   its IEEE-754 bit pattern, so NaNs compare equal to themselves and
-   nothing is lost to rounding. *)
+   Each cell is one line of a test/corpus/sim_*.fingerprints golden
+   ({!Test_helpers.fingerprint}: simulated time, every metrics field with
+   floats as IEEE-754 bit patterns, an MD5 of every buffer). *)
 
 open Gpusim
 
 let t name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
-(* ------------------------------------------------------------------ *)
-(* Bit-exact observation reprs                                         *)
-(* ------------------------------------------------------------------ *)
-
-let value_repr : Value.t -> string = function
-  | Value.Float f -> Fmt.str "F:%Lx" (Int64.bits_of_float f)
-  | v -> Fmt.str "%a" Value.pp v
-
-let dump_repr (dump : Value.t array list) =
-  String.concat "\n"
-    (List.mapi
-       (fun i buf ->
-         Fmt.str "buf%d: %s" i
-           (String.concat " " (Array.to_list (Array.map value_repr buf))))
-       dump)
-
-let metrics_repr (m : Metrics.t) =
-  let b = m.Metrics.breakdown in
-  let bits = Int64.bits_of_float in
-  Fmt.str
-    "parent=%Lx child=%Lx agg=%Lx disagg=%Lx launch=%Lx makespan=%Lx \
-     grids=%d dev=%d host=%d blocks=%d threads=%d pend=%d ser=%d races=%d \
-     oob=%d reports=%a"
-    (bits b.Metrics.parent_cycles)
-    (bits b.Metrics.child_cycles)
-    (bits b.Metrics.agg_cycles)
-    (bits b.Metrics.disagg_cycles)
-    (bits b.Metrics.launch_cycles)
-    (bits m.Metrics.makespan) m.Metrics.grids_launched
-    m.Metrics.device_launches m.Metrics.host_launches
-    m.Metrics.blocks_executed m.Metrics.threads_executed
-    m.Metrics.max_pending_launches m.Metrics.serialized_launches
-    m.Metrics.races_detected m.Metrics.oob_detected
-    Fmt.(Dump.list string)
-    m.Metrics.race_reports
-
-let observe_device dev =
-  Fmt.str "time=%Lx\n%s\n%s"
-    (Int64.bits_of_float (Device.time dev))
-    (metrics_repr (Device.metrics dev))
-    (dump_repr (Device.dump_memory dev ~first:(Device.buffer_count dev)))
+let fixtures_golden = "sim_fixtures.fingerprints"
 
 (* ------------------------------------------------------------------ *)
 (* Layer 1: golden disassembly of corpus fixtures                      *)
@@ -110,12 +68,11 @@ let disasm_tests =
     disasm_fixtures
 
 (* ------------------------------------------------------------------ *)
-(* Layer 2: edge-semantics parity fixtures                             *)
+(* Layer 2: edge-semantics fixtures                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [src] to completion (or to an exception) under one engine and
-   return everything observable: simulated time, metrics, every device
-   buffer bit-for-bit — or the raised exception's rendering. *)
+(* Run [src] to completion (or to an exception) under one engine: the
+   finished device, or the raised exception's rendering. *)
 let run_engine ~cfg ~grid ~block ~kernel ~mk_args engine src =
   let cfg = { cfg with Config.engine } in
   let dev = Device.create ~cfg () in
@@ -125,35 +82,38 @@ let run_engine ~cfg ~grid ~block ~kernel ~mk_args engine src =
     Device.launch dev ~kernel ~grid ~block ~args;
     ignore (Device.sync dev)
   with
-  | () -> Ok (observe_device dev)
+  | () -> Ok dev
   | exception e -> Error (Printexc.to_string e)
 
-let check_same closure bytecode =
-  match (closure, bytecode) with
-  | Ok c, Ok b ->
-      if c <> b then
-        Alcotest.failf "engines diverge:@.--- closure@.%s@.--- bytecode@.%s" c
-          b
-  | Error c, Error b ->
-      if c <> b then
-        Alcotest.failf "engines raise differently:@.closure:  %s@.bytecode: %s"
-          c b
-  | Ok _, Error e ->
-      Alcotest.failf "closure completed but bytecode raised: %s" e
-  | Error e, Ok _ -> Alcotest.failf "bytecode completed but closure raised: %s" e
+(* An outcome's golden line: the run's fingerprint, or the exception. *)
+let outcome_line = function
+  | Ok dev -> Test_helpers.fingerprint dev
+  | Error e -> "raises " ^ e
 
-let engine_parity name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
+(* Run under both engines; their lines must be equal. Returns the
+   closure engine's outcome, the one the goldens are promoted from. *)
+let both_engines run =
+  let closure = run Config.Closure and bytecode = run Config.Bytecode in
+  let c = outcome_line closure and b = outcome_line bytecode in
+  if c <> b then
+    Alcotest.failf "engines diverge:@.closure:  %s@.bytecode: %s" c b;
+  closure
+
+let frozen name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
     ?(block = (1, 1, 1)) ~kernel ~mk_args src =
   t name (fun () ->
-      let run = run_engine ~cfg ~grid ~block ~kernel ~mk_args in
-      check_same (run Config.Closure src) (run Config.Bytecode src))
+      let outcome =
+        both_engines (fun e -> run_engine ~cfg ~grid ~block ~kernel ~mk_args e src)
+      in
+      Test_corpus.golden_line ~file:fixtures_golden ~key:name
+        (outcome_line outcome))
 
 let out_ints n dev = [ Value.Ptr (Device.alloc_int_zeros dev n) ]
 let out_floats n dev = [ Value.Ptr (Device.alloc_float_zeros dev n) ]
 
 let edge_tests =
   [
-    engine_parity "NaN and infinity arithmetic is bit-identical" ~kernel:"k"
+    frozen "NaN and infinity arithmetic is bit-identical" ~kernel:"k"
       ~mk_args:(out_floats 12)
       {|
 __global__ void k(float* o) {
@@ -174,7 +134,7 @@ __global__ void k(float* o) {
   o[11] = pinf * 0.0;
 }
 |};
-    engine_parity "negative zero and float cast edges" ~kernel:"k"
+    frozen "negative zero and float cast edges" ~kernel:"k"
       ~mk_args:(out_floats 6)
       {|
 __global__ void k(float* o) {
@@ -187,15 +147,15 @@ __global__ void k(float* o) {
   o[5] = fabs(nz);
 }
 |};
-    engine_parity "integer division by zero raises identically" ~kernel:"k"
+    frozen "integer division by zero raises identically" ~kernel:"k"
       ~mk_args:(fun dev ->
         [ Value.Ptr (Device.alloc_int_zeros dev 1); Value.Int 0 ])
       "__global__ void k(int* o, int n) { o[0] = 7 / n; }";
-    engine_parity "integer modulo by zero raises identically" ~kernel:"k"
+    frozen "integer modulo by zero raises identically" ~kernel:"k"
       ~mk_args:(fun dev ->
         [ Value.Ptr (Device.alloc_int_zeros dev 1); Value.Int 0 ])
       "__global__ void k(int* o, int n) { o[0] = 7 % n; }";
-    engine_parity "checked shared-array OOB store raises at the same loc"
+    frozen "checked shared-array OOB store raises at the same loc"
       ~cfg:{ Config.test_config with check = true }
       ~kernel:"k" ~mk_args:(out_ints 4)
       {|
@@ -205,7 +165,7 @@ __global__ void k(int* o) {
   o[0] = s[0];
 }
 |};
-    engine_parity "checked shared-array OOB load raises at the same loc"
+    frozen "checked shared-array OOB load raises at the same loc"
       ~cfg:{ Config.test_config with check = true }
       ~kernel:"k" ~mk_args:(out_ints 4)
       {|
@@ -215,10 +175,10 @@ __global__ void k(int* o) {
   o[0] = s[threadIdx.x + 9];
 }
 |};
-    engine_parity "global OOB raises identically (unchecked mode)"
+    frozen "global OOB raises identically (unchecked mode)"
       ~kernel:"k" ~mk_args:(out_ints 4)
       "__global__ void k(int* o) { o[100] = 1; }";
-    engine_parity "atomics ordering across a block is deterministic"
+    frozen "atomics ordering across a block is deterministic"
       ~block:(64, 1, 1) ~kernel:"k" ~mk_args:(out_ints 8)
       {|
 __global__ void k(int* o) {
@@ -230,7 +190,7 @@ __global__ void k(int* o) {
   atomicMin(&o[5], 0 - threadIdx.x);
 }
 |};
-    engine_parity "atomic float accumulation keeps summation order"
+    frozen "atomic float accumulation keeps summation order"
       ~block:(32, 1, 1) ~kernel:"k"
       ~mk_args:(fun dev ->
         [ Value.Ptr (Device.alloc_floats dev [| 0.0; 0.1 |]) ])
@@ -239,7 +199,7 @@ __global__ void k(float* o) {
   atomicAdd(&o[0], 0.1 * (float)(threadIdx.x % 3));
 }
 |};
-    engine_parity "divergent barrier resolves identically at runtime"
+    frozen "divergent barrier resolves identically at runtime"
       ~block:(32, 1, 1) ~kernel:"k" ~mk_args:(out_ints 32)
       {|
 __global__ void k(int* o) {
@@ -250,7 +210,7 @@ __global__ void k(int* o) {
   o[0] = 2;
 }
 |};
-    engine_parity "CAS retry loop converges identically" ~block:(16, 1, 1)
+    frozen "CAS retry loop converges identically" ~block:(16, 1, 1)
       ~kernel:"k" ~mk_args:(out_ints 2)
       {|
 __global__ void k(int* o) {
@@ -358,18 +318,18 @@ let shape_tests =
           (casts "dim3(x / 2, y, z)"));
   ]
 
-(* Each fixture runs both engines (exception text, memory and metrics must
-   match), checks the outcome is the interesting one, and checks the
-   lowered shape the outcome depends on. *)
+(* Each fixture checks its golden line (exception text, or memory and
+   metrics), that the outcome is the interesting one, and the lowered
+   shape the outcome depends on. *)
 let error_order name ~mk_args ~outcome ~shape src =
   t name (fun () ->
-      let run =
-        run_engine ~cfg:Config.test_config ~grid:(1, 1, 1) ~block:(1, 1, 1)
-          ~kernel:"k" ~mk_args
+      let r =
+        both_engines (fun e ->
+            run_engine ~cfg:Config.test_config ~grid:(1, 1, 1)
+              ~block:(1, 1, 1) ~kernel:"k" ~mk_args e src)
       in
-      let bytecode = run Config.Bytecode src in
-      check_same (run Config.Closure src) bytecode;
-      outcome bytecode;
+      Test_corpus.golden_line ~file:fixtures_golden ~key:name (outcome_line r);
+      outcome r;
       shape (lowered src))
 
 let raises fragment = function
@@ -395,8 +355,11 @@ let error_order_tests =
     error_order "a float index is truncated by the load"
       ~mk_args:(fun dev -> [ ints dev [| 10; 20; 30 |]; Value.Float 2.9 ])
       ~outcome:(function
-        | Ok obs when Test_analysis.contains obs "30 20 30" -> ()
-        | Ok obs -> Alcotest.failf "expected o = 30 20 30 in@.%s" obs
+        | Ok dev ->
+            Alcotest.(check (list int))
+              "o" [ 30; 20; 30 ]
+              (List.map Value.as_int
+                 (Array.to_list (List.hd (Device.dump_memory dev ~first:1))))
         | Error e -> Alcotest.failf "raised %s" e)
       ~shape:(fun code ->
         Alcotest.(check int) "cast.int feeding a load" 0
@@ -424,16 +387,14 @@ let error_order_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Layer 3: sanitizer parity (Racecheck under the bytecode engine)     *)
+(* Layer 3: sanitizer findings                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* dpoptc --check runs Analysis.Dynamic over the program; its findings
-   embed source locations and are deduplicated per address. Both engines
-   must report byte-identical findings — epoch tags, locs, and dedup all
-   survive the engine switch. *)
-let sanitizer_parity base =
-  t (base ^ ": dynamic sanitizer findings identical across engines")
-    (fun () ->
+   embed source locations and are deduplicated per address. They must
+   match the golden line byte for byte — epoch tags, locs and dedup. *)
+let sanitizer_findings base =
+  t (base ^ ": dynamic sanitizer findings match the golden") (fun () ->
       let file = base ^ ".minicu" in
       let src =
         Test_corpus.read_file (Filename.concat Test_corpus.corpus_dir file)
@@ -441,62 +402,65 @@ let sanitizer_parity base =
       let prog = Minicu.Parser.program ~file src in
       let dirs = Analysis.Dynamic.directives src in
       let findings engine =
-        Analysis.Dynamic.run
-          ~cfg:{ Config.test_config with engine }
-          prog dirs
+        Analysis.Dynamic.run ~cfg:{ Config.test_config with engine } prog dirs
       in
       let closure = findings Config.Closure in
-      let bytecode = findings Config.Bytecode in
-      Alcotest.(check (list string)) base closure bytecode;
+      Alcotest.(check (list string)) base closure (findings Config.Bytecode);
       if closure = [] then
-        Alcotest.failf "%s: expected at least one dynamic finding" base)
+        Alcotest.failf "%s: expected at least one dynamic finding" base;
+      Test_corpus.golden_line ~file:fixtures_golden ~key:base
+        (String.concat "; " (List.map (Printf.sprintf "%S") closure)))
 
 let sanitizer_tests =
-  List.map sanitizer_parity [ "bad_race_rw"; "bad_race_ww"; "bad_oob_dynamic" ]
+  List.map sanitizer_findings [ "bad_race_rw"; "bad_race_ww"; "bad_oob_dynamic" ]
 
 (* ------------------------------------------------------------------ *)
 (* Layer 4: benchmark matrix                                           *)
 (* ------------------------------------------------------------------ *)
 
-let observe_spec engine (spec : Benchmarks.Bench_common.spec) v =
+(* A benchmark cell's golden line: the benchmark's own output fingerprint
+   ([spec.run]) and the run's. *)
+let spec_line engine (spec : Benchmarks.Bench_common.spec) v =
   let cfg = { Config.default with engine } in
   let dev = Benchmarks.Bench_common.load_variant ~cfg spec v in
   let fp = spec.run dev in
-  (fp, observe_device dev)
+  Fmt.str "fp=%d %s" fp (Test_helpers.fingerprint dev)
 
-let spec_parity tier (spec : Benchmarks.Bench_common.spec) (vname, v) =
-  tier
-    (Fmt.str "%s/%s under %s: engines bit-identical" spec.name spec.dataset
-       vname)
-    (fun () ->
-      let fp_c, obs_c = observe_spec Config.Closure spec v in
-      let fp_b, obs_b = observe_spec Config.Bytecode spec v in
-      if fp_c <> fp_b then
-        Alcotest.failf "fingerprints diverge: closure %d, bytecode %d" fp_c
-          fp_b;
-      if obs_c <> obs_b then
-        Alcotest.failf
-          "memory/metrics diverge:@.--- closure@.%s@.--- bytecode@.%s" obs_c
-          obs_b)
+let spec_cell (spec : Benchmarks.Bench_common.spec) vname =
+  Fmt.str "%s/%s under %s" spec.name spec.dataset vname
+
+(* Both engines' lines, which must agree; the closure engine's is kept. *)
+let spec_line_both spec v =
+  let c = spec_line Config.Closure spec v in
+  let b = spec_line Config.Bytecode spec v in
+  if c <> b then
+    Alcotest.failf "engines diverge:@.closure:  %s@.bytecode: %s" c b;
+  c
+
+let spec_golden ~file tier (spec : Benchmarks.Bench_common.spec) (vname, v) =
+  let key = spec_cell spec vname in
+  tier (key ^ ": engines' frozen fingerprint holds") (fun () ->
+      Test_corpus.golden_line ~file ~key (spec_line_both spec v))
+
+let combos () =
+  List.map (fun (l, o) -> (l, `Cdp o)) (Dpopt.Pipeline.enumerate ())
 
 (* Every Table I benchmark (tiny datasets) under all 8 pass combos. *)
 let combo_tests =
-  let combos =
-    List.map (fun (l, o) -> (l, `Cdp o)) (Dpopt.Pipeline.enumerate ())
-  in
   List.concat_map
-    (fun spec -> List.map (spec_parity slow spec) combos)
+    (fun spec ->
+      List.map (spec_golden ~file:"sim_specs.fingerprints" slow spec) (combos ()))
     (Test_benchmarks.specs ())
 
-(* The full Small registry under the complete pipeline. *)
+(* The full Small registry under the complete pipeline: the CDP+T+C+A
+   column of the registry-wide golden that test_registry.exe (@ir) checks
+   in full. *)
+let registry_golden = "sim_registry.fingerprints"
+
 let registry_tests =
-  let full =
-    `Cdp
-      (Dpopt.Pipeline.make ~threshold:32 ~cfactor:4
-         ~granularity:Dpopt.Aggregation.Block ())
-  in
+  let full = List.assoc "CDP+T+C+A" (combos ()) in
   List.map
-    (fun spec -> spec_parity slow spec ("CDP+T+C+A", full))
+    (fun spec -> spec_golden ~file:registry_golden slow spec ("CDP+T+C+A", full))
     (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ())
 
 let suite =

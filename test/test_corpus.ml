@@ -55,6 +55,63 @@ let golden_check ~what ~fixture ~golden_name actual =
          If the change is intentional, rerun with CORPUS_PROMOTE=1."
         fixture what golden_name expected actual
 
+(* Line-keyed goldens for the simulator's frozen verdicts: one
+   "<key>\t<value>" line per cell, so each test checks only its own lines
+   and CORPUS_PROMOTE=1 rewrites only those, in place (new keys are
+   appended). *)
+let golden_table file =
+  let path = Filename.concat (if promoting then promote_dir else corpus_dir) file in
+  if not (Sys.file_exists path) then []
+  else
+    read_file path |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.index_opt line '\t' with
+           | Some i ->
+               Some
+                 ( String.sub line 0 i,
+                   String.sub line (i + 1) (String.length line - i - 1) )
+           | None -> None)
+
+let golden_lines ~file (cells : (string * string) list) =
+  List.iter
+    (fun (k, v) ->
+      if String.contains k '\t' || String.contains k '\n'
+         || String.contains v '\t' || String.contains v '\n'
+      then Alcotest.failf "%s: cell %S does not fit on one line" file k)
+    cells;
+  let table = golden_table file in
+  if promoting then begin
+    let replaced =
+      List.map
+        (fun (k, v) ->
+          (k, Option.value (List.assoc_opt k cells) ~default:v))
+        table
+    in
+    let added = List.filter (fun (k, _) -> not (List.mem_assoc k table)) cells in
+    write_file
+      (Filename.concat promote_dir file)
+      (String.concat "" (List.map (fun (k, v) -> k ^ "\t" ^ v ^ "\n") (replaced @ added)))
+  end
+  else
+    let wrong =
+      List.filter_map
+        (fun (k, v) ->
+          match List.assoc_opt k table with
+          | Some expected when expected = v -> None
+          | Some expected ->
+              Some (Fmt.str "%s@.  expected %s@.  got      %s" k expected v)
+          | None -> Some (Fmt.str "%s@.  no golden line; got %s" k v))
+        cells
+    in
+    if wrong <> [] then
+      Alcotest.failf
+        "%d of %d cells deviate from %s:@.%s@.If the change is intentional, \
+         rerun with CORPUS_PROMOTE=1."
+        (List.length wrong) (List.length cells) file
+        (String.concat "\n" (List.filteri (fun i _ -> i < 5) wrong))
+
+let golden_line ~file ~key value = golden_lines ~file [ (key, value) ]
+
 let diags_of src prog =
   let static =
     List.map (Fmt.str "%a" Static.pp_diag) (Static.check_program prog)

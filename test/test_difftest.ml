@@ -13,6 +13,38 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* A generated case's golden line under the unit config: the baseline's
+   exact fingerprint ({!Test_helpers.fingerprint}) and an MD5 over every
+   default variant's. *)
+let seed_line engine seed =
+  let case = Gen.case_of_seed seed in
+  let cfg = { (snd (List.hd unit_config)) with Gpusim.Config.engine } in
+  let line (v : Oracle.variant) prog =
+    match Oracle.run_device ~cfg (v.v_compile prog) case with
+    | dev, _ -> Test_helpers.fingerprint dev
+    | exception e -> "raises " ^ Printexc.to_string e
+  in
+  match Minicu.Parser.program (Minicu.Pretty.program (Gen.build case)) with
+  | exception e -> "invalid " ^ Printexc.to_string e
+  | prog ->
+      let variants =
+        List.map
+          (fun (v : Oracle.variant) -> v.v_label ^ " " ^ line v prog)
+          (Oracle.default_variants ())
+      in
+      Fmt.str "base=%s variants=%s"
+        (line Oracle.baseline_variant prog)
+        (Digest.to_hex (Digest.string (String.concat "\n" variants)))
+
+(* Both engines' lines must agree; the closure engine's is kept. *)
+let seed_line_both seed =
+  let c = seed_line Gpusim.Config.Closure seed in
+  let b = seed_line Gpusim.Config.Bytecode seed in
+  if c <> b then
+    Alcotest.failf "seed %d: engines diverge:@.closure:  %s@.bytecode: %s"
+      seed c b;
+  c
+
 let suite =
   [
     t "cases are fully determined by their seed" (fun () ->
@@ -147,4 +179,8 @@ let suite =
         let again = Shrink.minimize ~still_fails small in
         Alcotest.(check int) "no further progress"
           (Shrink.case_size small) (Shrink.case_size again));
+    Alcotest.test_case "300 generated cases match their frozen fingerprints"
+      `Slow (fun () ->
+        Test_corpus.golden_lines ~file:"sim_gen.fingerprints"
+          (List.init 300 (fun seed -> (Fmt.str "seed %d" seed, seed_line_both seed))));
   ]

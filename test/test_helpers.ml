@@ -28,11 +28,12 @@ __global__ void parent(int* rows, int* data, int n) {
 
 let to_device_auto = Benchmarks.Bench_common.to_device_auto
 
-(* Run [prog] (typically a transformed nested_src) on the standard workload
-   and return (data after run, metrics). [n] parents; parent [v] owns a run
+(* Run [prog] (typically a transformed nested_src) on the standard workload:
+   [nested_device] returns the finished device, [run_nested] (data after
+   run, metrics). [n] parents; parent [v] owns a run
    of length [v * (v - 1) / 2 .. ] — triangular sizes, so small and large
    child grids both occur. *)
-let run_nested ?(cfg = Config.test_config) ?(n = 40)
+let nested_device ?(cfg = Config.test_config) ?(n = 40)
     (r : Dpopt.Pipeline.result) =
   let dev = Device.create ~cfg () in
   Device.load_program dev r.prog ~auto_params:(to_device_auto r.auto_params);
@@ -46,6 +47,10 @@ let run_nested ?(cfg = Config.test_config) ?(n = 40)
     ~block:(32, 1, 1)
     ~args:[ Value.Ptr d_rows; Value.Ptr d_data; Value.Int n ];
   ignore (Device.sync dev);
+  (dev, d_data, total)
+
+let run_nested ?cfg ?n r =
+  let dev, d_data, total = nested_device ?cfg ?n r in
   (Device.read_ints dev d_data total, Device.metrics dev)
 
 let expected_nested ?(n = 40) () =
@@ -65,3 +70,45 @@ let fn (r : Dpopt.Pipeline.result) name = Minicu.Ast.find_func_exn r.prog name
 
 let has_fn (r : Dpopt.Pipeline.result) name =
   Minicu.Ast.find_func r.prog name <> None
+
+(* One exact line for everything a finished device run shows: the
+   simulated clock, every [Metrics] field (floats as IEEE-754 bit patterns,
+   so nothing is lost to rounding and NaNs compare equal; race reports
+   quoted) and the MD5 of a bit-exact dump of every buffer. The simulator
+   goldens (test/corpus/sim_*.fingerprints) hold these lines. *)
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let metrics_fingerprint (m : Metrics.t) =
+  let b = m.breakdown and s = m.sampling in
+  Printf.sprintf "bd=%s,%s,%s,%s,%s mk=%s n=%d,%d,%d,%d,%d,%d,%d,%d,%d \
+           s=%d,%d,%d,%d,%d,%s,%s r=[%s]"
+    (bits b.parent_cycles) (bits b.child_cycles) (bits b.agg_cycles)
+    (bits b.disagg_cycles) (bits b.launch_cycles) (bits m.makespan)
+    m.grids_launched m.device_launches m.host_launches m.blocks_executed
+    m.threads_executed m.max_pending_launches m.serialized_launches
+    m.races_detected m.oob_detected s.sampled_grids s.sampled_blocks
+    s.skipped_blocks s.sampled_launches s.skipped_launches (bits s.est_total)
+    (bits s.est_variance)
+    (String.concat "; " (List.map (Printf.sprintf "%S") m.race_reports))
+
+let dump_digest dev =
+  let b = Buffer.create 4096 in
+  List.iteri
+    (fun i buf ->
+      Buffer.add_string b (Fmt.str "buf%d:" i);
+      Array.iter
+        (fun v ->
+          Buffer.add_char b ' ';
+          Buffer.add_string b
+            (match v with
+            | Value.Float f -> "F:" ^ bits f
+            | v -> Value.to_string v))
+        buf;
+      Buffer.add_char b '\n')
+    (Device.dump_memory dev ~first:(Device.buffer_count dev));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let fingerprint dev =
+  Printf.sprintf "t=%s %s mem=%s" (bits (Device.time dev))
+    (metrics_fingerprint (Device.metrics dev))
+    (dump_digest dev)

@@ -13,7 +13,8 @@ module B = Native.Build
 
 let t name f = Alcotest.test_case name `Quick f
 
-let cfg_closure = Gpusim.Config.test_config
+let cfg_closure =
+  { Gpusim.Config.test_config with engine = Gpusim.Config.Closure }
 
 let cfg_bytecode =
   { Gpusim.Config.test_config with engine = Gpusim.Config.Bytecode }

@@ -3,8 +3,8 @@
 
    The central invariants pinned here:
    - parallel dispatch ([Config.block_jobs] > 1) is byte-identical to the
-     serial drain — memory dumps and every metrics field — under both
-     execution engines;
+     serial drain — memory dumps and every metrics field — and the serial
+     outcome matches its frozen golden line;
    - stratified sampling is a deterministic function of (seed, stream,
      grid id): the same config picks the same blocks at any -j, and the
      off-switches ([block_frac = 1.0], [block_threshold = 0], [--exact])
@@ -25,35 +25,43 @@ let contains ~affix s =
 (* Harness: run a driver under a config, snapshot dump + metrics        *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything observable about a finished run. Structural equality over
-   this is the "byte-identical" check: every metrics field (breakdown,
-   sampling stats, counters) and every memory cell. *)
-type outcome = {
-  o_time : float;
-  o_dump : Value.t array list;
-  o_metrics : string;
-}
+(* Everything observable about a finished run: the simulated time, and
+   its exact fingerprint ({!Test_helpers.fingerprint}: the time's bits,
+   every metrics field — breakdown, sampling stats, counters, race
+   reports — with floats as bit patterns, and an MD5 of every memory
+   cell). Equal fingerprints are the "byte-identical" check. *)
+type outcome = { o_time : float; o_line : string }
 
-let metrics_str m = Fmt.str "%a" Metrics.pp m
+let outcome_of dev =
+  { o_time = Device.time dev; o_line = Test_helpers.fingerprint dev }
 
 let run_driver ?(cfg = Config.test_config) ~src drive : outcome * Device.t =
   let dev = Device.create ~cfg () in
   Device.load_program dev (Minicu.Parser.program src);
   drive dev;
-  let time = Device.sync dev in
-  ( {
-      o_time = time;
-      o_dump = Device.dump_memory dev ~first:(Device.buffer_count dev);
-      o_metrics = metrics_str (Device.metrics dev);
-    },
-    dev )
+  ignore (Device.sync dev);
+  (outcome_of dev, dev)
 
 let check_same_outcome label (a : outcome) (b : outcome) =
-  Alcotest.(check (float 0.0)) (label ^ ": simulated time") a.o_time b.o_time;
-  Alcotest.(check string) (label ^ ": metrics") a.o_metrics b.o_metrics;
-  Alcotest.(check bool) (label ^ ": memory dump") true (a.o_dump = b.o_dump)
+  Alcotest.(check string) label a.o_line b.o_line
+
+(* The -j1 outcomes of the identity and sampling cells are frozen in
+   test/corpus/sim_scale.fingerprints. *)
+let frozen key (o : outcome) =
+  Test_corpus.golden_line ~file:"sim_scale.fingerprints" ~key o.o_line
 
 let engines = [ (Config.Closure, "closure"); (Config.Bytecode, "bytecode") ]
+
+(* [f] under each engine: the outcomes must be equal; the closure
+   engine's is returned, for the golden. *)
+let across_engines label f =
+  match List.map (fun (engine, ename) -> (ename, f engine)) engines with
+  | (_, first) :: rest ->
+      List.iter
+        (fun (ename, o) -> check_same_outcome (label ^ ": closure vs " ^ ename) first o)
+        rest;
+      first
+  | [] -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
@@ -140,41 +148,45 @@ let test_blocksafe_classify () =
 (* Parallel dispatch: byte-identity and occupancy                       *)
 (* ------------------------------------------------------------------ *)
 
-let par_identity ~src ~drive () =
-  List.iter
-    (fun (engine, ename) ->
-      let cfg = { Config.test_config with engine } in
-      let serial, _ = run_driver ~cfg ~src drive in
-      let par, dev4 =
-        run_driver ~cfg:{ cfg with block_jobs = 4 } ~src drive
-      in
-      check_same_outcome (ename ^ " -j1 vs -j4") serial par;
-      let batches, blocks = Device.par_stats dev4 in
-      Alcotest.(check bool)
-        (ename ^ ": parallel batches formed")
-        true
-        (batches > 0 && blocks >= 2 * batches))
-    engines
+let par_identity ~key ~src ~drive () =
+  frozen key
+    (across_engines key (fun engine ->
+         let cfg = { Config.test_config with engine } in
+         let serial, _ = run_driver ~cfg ~src drive in
+         let par, dev4 =
+           run_driver ~cfg:{ cfg with block_jobs = 4 } ~src drive
+         in
+         check_same_outcome (key ^ " -j1 vs -j4") serial par;
+         let batches, blocks = Device.par_stats dev4 in
+         Alcotest.(check bool)
+           (key ^ ": parallel batches formed")
+           true
+           (batches > 0 && blocks >= 2 * batches);
+         serial))
 
-let test_par_identity_owned = par_identity ~src:owned_src ~drive:drive_owned
-let test_par_identity_reduce = par_identity ~src:reduce_src ~drive:drive_reduce
+let test_par_identity_owned =
+  par_identity ~key:"owned" ~src:owned_src ~drive:drive_owned
+
+let test_par_identity_reduce =
+  par_identity ~key:"reduce" ~src:reduce_src ~drive:drive_reduce
 
 (* Unsafe (launching) kernels fall back to serial execution inside the
    parallel drain — identical results, no concurrent batches. *)
 let test_par_identity_unsafe () =
-  List.iter
-    (fun (engine, ename) ->
-      let run jobs =
-        let cfg = { Config.test_config with engine; block_jobs = jobs } in
-        let r = Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
-            (Minicu.Parser.program Test_helpers.nested_src) in
-        let data, m = Test_helpers.run_nested ~cfg r in
-        (data, metrics_str m)
-      in
-      let d1, m1 = run 1 and d4, m4 = run 4 in
-      Alcotest.(check bool) (ename ^ ": nested output") true (d1 = d4);
-      Alcotest.(check string) (ename ^ ": nested metrics") m1 m4)
-    engines
+  frozen "nested"
+    (across_engines "nested" (fun engine ->
+         let run jobs =
+           let cfg = { Config.test_config with engine; block_jobs = jobs } in
+           let r =
+             Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
+               (Minicu.Parser.program Test_helpers.nested_src)
+           in
+           let dev, _, _ = Test_helpers.nested_device ~cfg r in
+           outcome_of dev
+         in
+         let a = run 1 in
+         check_same_outcome "nested -j1 vs -j4" a (run 4);
+         a))
 
 (* Benchmark-level identity: registry cells, exact, -j1 vs -j4.
    BT/T0032-C16 CDP dispatches parallel batches; the other two cells hold
@@ -182,43 +194,39 @@ let test_par_identity_unsafe () =
 let par_identity_cells =
   let cdp o = Harness.Variant.instantiate o Harness.Variant.default_params in
   [
-    ("BT", "T0032-C16", Harness.Variant.Cdp Dpopt.Pipeline.none);
-    ("BT", "T2048-C64", cdp { t = true; c = true; a = true });
-    ("TC", "KRON", cdp { t = false; c = false; a = true });
+    ("BT", "T0032-C16", "CDP", Harness.Variant.Cdp Dpopt.Pipeline.none);
+    ("BT", "T2048-C64", "CDP+T+C+A", cdp { t = true; c = true; a = true });
+    ("TC", "KRON", "CDP+A", cdp { t = false; c = false; a = true });
   ]
 
 let test_par_identity_benchmark () =
   List.iter
-    (fun (name, dataset, variant) ->
+    (fun (name, dataset, vname, variant) ->
       let spec =
         match Benchmarks.Registry.find ~name ~dataset () with
         | Some spec -> spec
         | None -> Alcotest.failf "%s/%s missing from registry" name dataset
       in
-      List.iter
-        (fun (engine, ename) ->
-          let run jobs =
-            let cfg = { Config.default with engine; block_jobs = jobs } in
-            let dev =
-              Benchmarks.Bench_common.load_variant ~cfg spec
-                (match variant with
-                | Harness.Variant.No_cdp -> `No_cdp
-                | Harness.Variant.Cdp o -> `Cdp o)
-            in
-            let fp = spec.run dev in
-            ( fp,
-              {
-                o_time = Device.time dev;
-                o_dump = Device.dump_memory dev ~first:(Device.buffer_count dev);
-                o_metrics = metrics_str (Device.metrics dev);
-              } )
-          in
-          let label = Fmt.str "%s/%s %s" name dataset ename in
-          let fa, a = run 1 and fb, b = run 4 in
-          Alcotest.(check int) (label ^ ": reference") (spec.reference ()) fa;
-          Alcotest.(check int) (label ^ ": fingerprint") fa fb;
-          check_same_outcome label a b)
-        engines)
+      let key = Fmt.str "%s/%s %s" name dataset vname in
+      frozen key
+        (across_engines key (fun engine ->
+             let run jobs =
+               let cfg = { Config.default with engine; block_jobs = jobs } in
+               let dev =
+                 Benchmarks.Bench_common.load_variant ~cfg spec
+                   (match variant with
+                   | Harness.Variant.No_cdp -> `No_cdp
+                   | Harness.Variant.Cdp o -> `Cdp o)
+               in
+               let fp = spec.run dev in
+               let o = outcome_of dev in
+               (fp, { o with o_line = Fmt.str "fp=%d %s" fp o.o_line })
+             in
+             let fa, a = run 1 and fb, b = run 4 in
+             Alcotest.(check int) (key ^ ": reference") (spec.reference ()) fa;
+             Alcotest.(check int) (key ^ ": fingerprint") fa fb;
+             check_same_outcome (key ^ " -j1 vs -j4") a b;
+             a)))
     par_identity_cells
 
 (* ------------------------------------------------------------------ *)
@@ -234,18 +242,18 @@ let sampled_cfg ?(engine = Config.Closure) ?(block_jobs = 1) () =
   }
 
 let test_sampling_deterministic () =
-  List.iter
-    (fun (engine, ename) ->
-      let run jobs =
-        fst
-          (run_driver
-             ~cfg:(sampled_cfg ~engine ~block_jobs:jobs ())
-             ~src:skewed_src drive_skewed)
-      in
-      let a = run 1 and b = run 1 and c = run 4 in
-      check_same_outcome (ename ^ ": sampled rerun") a b;
-      check_same_outcome (ename ^ ": sampled -j1 vs -j4") a c)
-    engines
+  frozen "skewed sampled"
+    (across_engines "skewed sampled" (fun engine ->
+         let run jobs =
+           fst
+             (run_driver
+                ~cfg:(sampled_cfg ~engine ~block_jobs:jobs ())
+                ~src:skewed_src drive_skewed)
+         in
+         let a = run 1 and b = run 1 and c = run 4 in
+         check_same_outcome "sampled rerun" a b;
+         check_same_outcome "sampled -j1 vs -j4" a c;
+         a))
 
 let test_sampling_triggers () =
   let o, dev =

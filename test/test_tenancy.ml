@@ -235,9 +235,12 @@ let determinism_suite =
           in
           Tenancy.Report.json_of_result (Tenancy.Report.run cell test_traffic)
         in
-        Alcotest.(check string) "closure = bytecode"
-          (under Gpusim.Config.Closure)
-          (under Gpusim.Config.Bytecode));
+        let closure = under Gpusim.Config.Closure in
+        Alcotest.(check string) "closure = bytecode" closure
+          (under Gpusim.Config.Bytecode);
+        Test_corpus.golden_line ~file:"sim_fixtures.fingerprints"
+          ~key:"tenancy: default traffic, fair policy, 8 slots"
+          (Digest.to_hex (Digest.string closure)));
     t "priority bound 1 serializes each tenant's jobs" (fun () ->
         let cell =
           { test_cell with policy = Tenancy.Policy.Priority { bound = 1 } }
