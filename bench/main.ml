@@ -9,13 +9,7 @@
      dune exec bench/main.exe -- fig9 --csv=results/   # also write CSVs
      dune exec bench/main.exe -- all -j 4     # figure cells on 4 domains
 
-   Experiments: table1 fig9 fig10 fig11 fig12 fixed128 ablation micro
-   engine-smoke (the last only when named explicitly: it is the bytecode
-   engine's throughput acceptance gate and exits 1 below 5x).
-
-   --engine=closure|bytecode selects the simulator execution engine for
-   the figure experiments (results are identical; only wall clock
-   changes). *)
+   Experiments: table1 fig9 fig10 fig11 fig12 fixed128 ablation micro. *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -71,7 +65,7 @@ let micro () =
                    ~granularity:(Dpopt.Aggregation.Multi_block 8) ())
               prog);
         mk "simulator-compile" (fun () ->
-            Gpusim.Compile.compile Gpusim.Config.default prog);
+            Gpusim.Bytecode.compile Gpusim.Config.default prog);
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -95,92 +89,6 @@ let micro () =
           Printf.printf "%-40s %14s\n" name pretty
       | _ -> Printf.printf "%-40s %14s\n" name "-")
     (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
-(* Engine smoke: bytecode-vs-closure throughput gate                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Micro-kernel throughput comparison of the two execution engines, used
-   by the [@ir] alias as an acceptance gate: the bytecode VM must beat the
-   closure interpreter by at least 5x on the counting-loop micro kernel,
-   and outputs must match bit-for-bit on every kernel. The loop trip
-   count is tunable via BYTECODE_SMOKE_ITERS (see Harness.Env) so CI can
-   trade gate stability for wall clock. *)
-let engine_smoke () =
-  let iters = Harness.Env.get "BYTECODE_SMOKE_ITERS" in
-  let kernels =
-    [
-      (* gated: the rotated-loop bottom is one fused VM dispatch, the
-         shape where flat dispatch pays off most *)
-      ( "count-loop",
-        {|
-__global__ void micro(int* out, int iters) {
-  int s = 0;
-  for (int k = 0; k < iters; k = k + 1) { }
-  out[threadIdx.x] = s;
-}
-|}
-      );
-      (* reported, not gated: one arithmetic instruction per iteration *)
-      ( "int-accumulate",
-        {|
-__global__ void micro(int* out, int iters) {
-  int s = 0;
-  for (int k = 0; k < iters; k = k + 1) { s = s + k; }
-  out[threadIdx.x] = s;
-}
-|}
-      );
-    ]
-  in
-  let time_engine engine src =
-    let cfg = { Gpusim.Config.default with Gpusim.Config.engine } in
-    let prog = Minicu.Parser.program src in
-    let dev = Gpusim.Device.create ~cfg () in
-    Gpusim.Device.load_program dev prog;
-    let out = Gpusim.Device.alloc_int_zeros dev 256 in
-    let launch () =
-      Gpusim.Device.launch dev ~kernel:"micro" ~grid:(1, 1, 1)
-        ~block:(256, 1, 1)
-        ~args:[ Gpusim.Value.Ptr out; Gpusim.Value.Int iters ];
-      ignore (Gpusim.Device.sync dev)
-    in
-    (* warm-up run outside the timed region; then best-of-3 timed
-       launches — the min filters out scheduler/frequency noise, which
-       on shared machines dwarfs the per-launch variance of either
-       engine *)
-    launch ();
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      launch ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    (!best, Gpusim.Device.read_ints dev out 256)
-  in
-  Printf.printf "\n=== Engine smoke: closure vs bytecode (%d iters) ===\n"
-    iters;
-  Printf.printf "%-16s %10s %10s %8s %s\n" "kernel" "closure" "bytecode"
-    "speedup" "outputs";
-  let gate_ok = ref true in
-  List.iter
-    (fun (name, src) ->
-      let tc, rc = time_engine Gpusim.Config.Closure src in
-      let tb, rb = time_engine Gpusim.Config.Bytecode src in
-      let speedup = tc /. tb in
-      let same = rc = rb in
-      if not same then gate_ok := false;
-      if name = "count-loop" && speedup < 5.0 then gate_ok := false;
-      Printf.printf "%-16s %9.3fs %9.3fs %7.2fx %s\n" name tc tb speedup
-        (if same then "identical" else "MISMATCH"))
-    kernels;
-  if not !gate_ok then begin
-    Printf.printf
-      "engine smoke FAILED: bytecode engine below 5x on the gated kernel, \
-       or an output mismatch\n";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Paper-scale execution: the scale trajectory and the @scale smoke    *)
@@ -494,22 +402,6 @@ let () =
         else None)
       args
   in
-  (* --engine=closure|bytecode: execution engine for the figure cells *)
-  let engine =
-    List.find_map
-      (fun a ->
-        if String.length a > 9 && String.sub a 0 9 = "--engine=" then
-          match
-            Gpusim.Config.engine_of_string
-              (String.sub a 9 (String.length a - 9))
-          with
-          | Some engine -> Some engine
-          | None ->
-              Printf.eprintf "unknown engine in %s (closure | bytecode)\n" a;
-              exit 2
-        else None)
-      args
-  in
   let sampling =
     if exact then None
     else if sample || size = Benchmarks.Registry.Large then
@@ -517,17 +409,9 @@ let () =
     else None
   in
   let cfg =
-    match (engine, sampling, block_jobs) with
-    | None, None, 1 -> None
-    | _ ->
-        Some
-          {
-            Gpusim.Config.default with
-            engine =
-              Option.value engine ~default:Gpusim.Config.default.engine;
-            sampling;
-            block_jobs;
-          }
+    match (sampling, block_jobs) with
+    | None, 1 -> None
+    | _ -> Some { Gpusim.Config.default with sampling; block_jobs }
   in
   (match csv_dir with
   | Some d when not (Sys.file_exists d) -> Sys.mkdir d 0o755
@@ -587,9 +471,6 @@ let () =
     wall (fun () ->
         List.iter Harness.Ablation.print (Harness.Ablation.all ~pool ()));
   if enabled "micro" then wall micro;
-  (* gate experiment: only when named explicitly (exits 1 on failure) *)
-  if (match wanted with Some l -> List.mem "engine-smoke" l | None -> false)
-  then wall engine_smoke;
   (* scale experiments: only when named explicitly — the trajectory is a
      long run (three full fig9 tiers), the smoke is the @scale gate *)
   if (match wanted with Some l -> List.mem "scale" l | None -> false) then

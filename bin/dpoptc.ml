@@ -117,26 +117,6 @@ let promote =
           "Also apply KLAP's promotion to eligible self-recursive \
            single-block kernels (the Section IX pattern T/C/A cannot help).")
 
-let engine_conv =
-  let parse s =
-    match Gpusim.Config.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error (`Msg (Fmt.str "unknown engine %S (expected closure | bytecode)" s))
-  in
-  Arg.conv (parse, Gpusim.Config.pp_engine)
-
-let engine =
-  Arg.(
-    value & opt engine_conv Gpusim.Config.default.engine
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Simulator execution engine for $(b,--check) dynamic runs: \
-           $(b,closure) (closure-tree interpreter) or $(b,bytecode) (flat \
-           bytecode/register VM). Both are semantically identical; the \
-           sanitizer's race and bounds findings do not depend on the \
-           choice.")
-
 let check_only =
   Arg.(
     value & flag
@@ -240,11 +220,11 @@ let run_predict ~input ~prog ~threshold ~cfactor ~granularity ~agg_threshold
       0
 
 let run input output threshold cfactor granularity agg_threshold promote
-    report check_only engine predict items mean_size skew rounds parent_block
+    report check_only predict items mean_size skew rounds parent_block
     emit_native =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Warning);
-  let dyn_cfg = { Gpusim.Config.test_config with engine } in
+  let dyn_cfg = Gpusim.Config.test_config in
   (* Shared with dpoptd's job rejection (lib/serve): user errors come out
      as one-line loc-bearing diagnostics and exit 1, never a backtrace;
      anything unrecognized exits 125 with a one-line internal error. *)
@@ -378,7 +358,7 @@ let cmd =
     (Cmd.info "dpoptc" ~version:"1.0.0" ~doc)
     Term.(
       const run $ input $ output $ threshold $ cfactor $ granularity
-      $ agg_threshold $ promote $ report $ check_only $ engine $ predict
+      $ agg_threshold $ promote $ report $ check_only $ predict
       $ items $ mean_size $ skew $ rounds $ parent_block $ emit_native)
 
 let () = exit (Cmd.eval' cmd)

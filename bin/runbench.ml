@@ -182,24 +182,6 @@ let trace =
           "Print a per-grid execution timeline (launch issue, queue wait, \
            execution span, blocks, SM footprint).")
 
-let engine_conv =
-  let parse s =
-    match Gpusim.Config.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error (`Msg (Fmt.str "unknown engine %S (expected closure | bytecode)" s))
-  in
-  Arg.conv (parse, Gpusim.Config.pp_engine)
-
-let engine =
-  Arg.(
-    value & opt engine_conv Gpusim.Config.default.engine
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Simulator execution engine for single-cell runs: $(b,closure) or \
-           $(b,bytecode). Simulated cycles, metrics and output fingerprints \
-           are identical under both; only host wall clock differs.")
-
 let backend =
   Arg.(
     value
@@ -375,7 +357,7 @@ let run_calibrate ~jobs ~size ~only =
    Exit 0 on a verified match, 1 for user-level errors (no static host
    driver, construct the backend rejects), 2 on divergence. *)
 let run_native (spec : Benchmarks.Bench_common.spec) no_cdp threshold cfactor
-    granularity engine =
+    granularity =
   match spec.native_host with
   | None ->
       Fmt.epr
@@ -413,10 +395,10 @@ let run_native (spec : Benchmarks.Bench_common.spec) no_cdp threshold cfactor
               ~source:(Native.Emit.unit_source ~variants ~host)
               ()
           in
-          let cfg = { Gpusim.Config.default with engine } in
           let sim =
             Native.Hostspec.render_dump
-              (Native.Hostspec.run_sim ~cfg prog ~auto_params:autos host)
+              (Native.Hostspec.run_sim ~cfg:Gpusim.Config.default prog
+                 ~auto_params:autos host)
           in
           let bad = ref 0 in
           List.iteri
@@ -437,10 +419,8 @@ let run_native (spec : Benchmarks.Bench_common.spec) no_cdp threshold cfactor
             Fmt.pr "%s / %s under %s (native backend)@." spec.name spec.dataset
               label;
             Fmt.pr "%s@." sim;
-            Fmt.pr
-              "native dump matches GpuSim (%a engine) byte-for-byte across %d \
-               run%s@."
-              Gpusim.Config.pp_engine engine runs
+            Fmt.pr "native dump matches GpuSim byte-for-byte across %d run%s@."
+              runs
               (if runs = 1 then "" else "s");
             0
           end
@@ -450,7 +430,7 @@ let run_native (spec : Benchmarks.Bench_common.spec) no_cdp threshold cfactor
    baseline vs optimized pipeline. Exit 0, or 1 when a --min-fairness /
    --min-recovery gate fails (the @mt alias pins both). *)
 let run_mt ~tenants ~policy ~mt_seed ~mt_jobs ~slots ~jobs ~mt_out
-    ~min_fairness ~min_recovery ~engine =
+    ~min_fairness ~min_recovery =
   match Tenancy.Policy.of_string policy with
   | Error msg ->
       Fmt.epr "runbench: %s@." msg;
@@ -474,7 +454,7 @@ let run_mt ~tenants ~policy ~mt_seed ~mt_jobs ~slots ~jobs ~mt_out
         in
         let cell =
           {
-            Tenancy.Sim.sm_cfg = { Gpusim.Config.default with engine };
+            Tenancy.Sim.sm_cfg = Gpusim.Config.default;
             policy = pol;
             slots;
           }
@@ -509,13 +489,13 @@ let run_mt ~tenants ~policy ~mt_seed ~mt_jobs ~slots ~jobs ~mt_out
       end
 
 let run_one bench dataset no_cdp threshold cfactor granularity size trace
-    engine backend ~sample ~exact ~block_jobs =
+    backend ~sample ~exact ~block_jobs =
   match Benchmarks.Registry.find ~size ~name:bench ~dataset () with
   | None ->
       Fmt.epr "unknown benchmark/dataset pair %s/%s@." bench dataset;
       1
   | Some spec when backend = `Native ->
-      run_native spec no_cdp threshold cfactor granularity engine
+      run_native spec no_cdp threshold cfactor granularity
   | Some spec -> (
       let sampling =
         if sample && not exact then
@@ -525,7 +505,6 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
       let cfg =
         {
           Gpusim.Config.default with
-          engine;
           sampling;
           block_jobs = max 1 block_jobs;
         }
@@ -581,7 +560,7 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
           2)
 
 let run bench dataset sweep calibrate only jobs out csv_out costmodel_out
-    no_cdp threshold cfactor granularity size trace engine backend tenants
+    no_cdp threshold cfactor granularity size trace backend tenants
     policy mt_seed mt_jobs slots mt_out min_fairness min_recovery sample exact
     block_jobs =
   if calibrate then run_calibrate ~jobs ~size ~only
@@ -590,12 +569,12 @@ let run bench dataset sweep calibrate only jobs out csv_out costmodel_out
     match tenants with
     | Some tenants ->
         run_mt ~tenants ~policy ~mt_seed ~mt_jobs ~slots ~jobs ~mt_out
-          ~min_fairness ~min_recovery ~engine
+          ~min_fairness ~min_recovery
     | None -> (
         match (bench, dataset) with
         | Some bench, Some dataset ->
             run_one bench dataset no_cdp threshold cfactor granularity size
-              trace engine backend ~sample ~exact ~block_jobs
+              trace backend ~sample ~exact ~block_jobs
         | _ ->
             Fmt.epr
               "runbench: BENCH and DATASET are required unless --sweep or \
@@ -609,7 +588,7 @@ let cmd =
     Term.(
       const run $ bench $ dataset $ sweep $ calibrate $ only $ jobs $ out
       $ csv_out $ costmodel_out $ no_cdp $ threshold $ cfactor $ granularity
-      $ size $ trace $ engine $ backend $ tenants $ policy $ mt_seed $ mt_jobs
+      $ size $ trace $ backend $ tenants $ policy $ mt_seed $ mt_jobs
       $ slots $ mt_out $ min_fairness $ min_recovery $ sample $ exact
       $ block_jobs)
 

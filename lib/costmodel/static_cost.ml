@@ -1,8 +1,8 @@
 (** Static per-thread cost of MiniCU statements, mirroring the simulator's
-    charging rules ({!Gpusim.Compile}) without executing anything.
+    charging rules ({!Gpusim.Bytecode}) without executing anything.
 
-    The walker reuses {!Gpusim.Compile.expr_cost} for expressions and
-    applies the same per-statement constants [compile_stmt] charges. Where
+    The walker reuses {!Gpusim.Bytecode.expr_cost} for expressions and
+    applies the same per-statement constants the lowering charges. Where
     the dynamic cost depends on data, it approximates:
 
     - [If] takes the {e max} of the two branches (warps execute in
@@ -22,7 +22,7 @@ let rec stmts_cost ~(cfg : Gpusim.Config.t) ~(trip : int) (ss : stmt list) :
   List.fold_left (fun acc s -> acc +. stmt_cost ~cfg ~trip s) 0.0 ss
 
 and stmt_cost ~cfg ~trip (s : stmt) : float =
-  let ec e = float_of_int (Gpusim.Compile.expr_cost cfg e) in
+  let ec e = float_of_int (Gpusim.Bytecode.expr_cost cfg e) in
   let fi = float_of_int in
   let tripf = fi (max 1 trip) in
   match s.sdesc with

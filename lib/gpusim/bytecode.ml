@@ -1,17 +1,17 @@
-(** Flat bytecode/register IR for MiniCU device code — the second execution
-    engine ({!Config.engine} = [Bytecode]).
+(** Flat bytecode/register IR for MiniCU device code: the simulator's
+    execution engine.
 
     Kernel bodies are lowered to a single flat instruction array over a
     per-function register file; the VM ({!Vm}) runs it over unboxed register
     banks (separate int/float arrays) with no per-step allocation.
 
-    The lowering mirrors the closure compiler ({!Compile}) case for case:
-    the same costs are charged at the same program points, the same runtime
-    errors are raised with the same messages, and — crucially — side effects
-    (loads, stores, atomics, launches, coercion failures) happen in the same
-    order the closure trees evaluate them. The cross-engine differential
-    suite pins this equivalence bit-for-bit; when in doubt about an
-    evaluation order, consult the corresponding [Compile] case, not C.
+    The lowering fixes the simulator's semantics: which costs are charged
+    at which program points, which runtime errors are raised with which
+    messages, and the order of side effects (loads, stores, atomics,
+    launches, coercion failures) — a binary operator's right operand runs
+    before its left one. The frozen goldens in
+    test/corpus/sim_*.fingerprints (simulated time, every metric, memory)
+    pin it bit for bit.
 
     Registers are frame-relative indices. Parameters occupy registers
     [0 .. nparams-1]; locals and expression temporaries follow. Register
@@ -219,10 +219,9 @@ let slot_of env x loc_hint =
 let mark env = env.next_reg
 let reset env m = env.next_reg <- m
 
-(* Save/restore lexical scope around nested blocks. Unlike the closure
-   compiler, the register counter is restored too: sibling scopes reuse
-   registers, which is safe because every [Decl] (re)writes its register
-   before any use. *)
+(* Save/restore lexical scope around nested blocks. The register counter
+   is restored too: sibling scopes reuse registers, which is safe because
+   every [Decl] (re)writes its register before any use. *)
 let scoped env f =
   let slots = env.slots and regs = env.next_reg in
   let r = f () in
@@ -241,8 +240,8 @@ let check_loc env = if env.cfg.check then Some env.cur_loc else None
    [load], [addr] and [dim3] coerce their own operands ([need_ptr] on the
    pointer, [get_int] on the index and components) with the same messages
    as [as_ptr]/[cast.int], so a separate coercion instruction is needed
-   only to keep an error in its closure-engine position: before whatever
-   is evaluated next. [quiet e] holds when lowering [e] emits nothing that
+   only to keep an error in its position: before whatever is evaluated
+   next. [quiet e] holds when lowering [e] emits nothing that
    can raise or have an effect — a local variable (no instruction), an int
    or bool literal, or a reserved-variable component whose field is
    [x]/[y]/[z] (decoded at pack time, so the VM's field lookup cannot
@@ -361,8 +360,7 @@ let rec lower_expr env (e : expr) : int =
       ins (I_binop_float (op, d, ra, f));
       d
   | Binop (op, a, b) ->
-      (* The closure engine evaluates [eval_binop op (ca t) (cb t)]:
-         right-to-left application order runs [b] before [a]. *)
+      (* Operands evaluate right to left: [b] before [a]. *)
       let rb = lower_expr env b in
       let ra = lower_expr env a in
       let d = tmp env in
@@ -411,8 +409,8 @@ let rec lower_expr env (e : expr) : int =
 
 (* [lower_mem_operand env p i] evaluates [p] then [i] for a [load] or
    [addr], which check the pointer and coerce the index themselves. The
-   pointer is coerced in place ([as_ptr], as the closure engine does
-   before evaluating [i]) unless [i] is [quiet]. *)
+   pointer is coerced in place ([as_ptr], before evaluating [i]) unless
+   [i] is [quiet]. *)
 and lower_mem_operand env p i =
   let rp = lower_expr env p in
   let rp =
@@ -695,10 +693,48 @@ let default_value : ty -> Value.t = function
   | TDim3 -> Value.Dim3 (1, 1, 1)
   | TPtr _ | TVoid -> Value.Unit
 
+(* Cycles to evaluate [e] once, assuming full evaluation. Short-circuit and
+   ternary operators are charged for both sides; this keeps charging O(1)
+   per statement at run time. *)
+let rec expr_cost (cfg : Config.t) (e : expr) : int =
+  let ec = expr_cost cfg in
+  match e with
+  | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ -> 0
+  | Unop (_, a) -> cfg.arith_cost + ec a
+  | Binop (_, a, b) -> cfg.arith_cost + ec a + ec b
+  | Ternary (c, a, b) -> cfg.branch_cost + ec c + max (ec a) (ec b)
+  | Index (p, i) -> cfg.mem_cost + ec p + ec i
+  | Member (a, _) -> ec a
+  | Cast (_, a) -> cfg.arith_cost + ec a
+  | Dim3_ctor (x, y, z) -> cfg.arith_cost + ec x + ec y + ec z
+  | Addr_of lv -> addr_cost cfg lv
+  | Call (f, args) -> (
+      let argc = List.fold_left (fun acc a -> acc + ec a) 0 args in
+      match Builtins.find f with
+      | Some b ->
+          let c =
+            match b.b_cost with
+            | Builtins.Arith -> cfg.arith_cost
+            | Builtins.Mem -> cfg.mem_cost
+            | Builtins.Atomic -> cfg.atomic_cost
+            | Builtins.Warp_collective -> cfg.warp_collective_cost
+            | Builtins.Alloc -> cfg.alloc_cost
+          in
+          (* atomics evaluate their address operand without the extra load *)
+          c + argc
+      | None -> cfg.call_cost + argc)
+
+(* Address computation for an lvalue (no load). *)
+and addr_cost cfg = function
+  | Var _ -> cfg.arith_cost
+  | Index (p, i) -> cfg.arith_cost + expr_cost cfg p + expr_cost cfg i
+  | Member (a, _) -> cfg.arith_cost + expr_cost cfg a
+  | e -> expr_cost cfg e
+
 (* --- Charge coalescing -------------------------------------------------
 
-   The closure engine charges each statement's (statically computed) cost
-   as the statement starts executing. Costs are observable at exactly two
+   Each statement's cost (statically computed) is charged as the
+   statement starts executing. Costs are observable at exactly two
    points: a launch records the thread's running total ([lr_issue_cost]),
    and per-tag totals are aggregated when the block completes. A thread
    that enters a straight-line statement run either executes all of it or
@@ -714,27 +750,27 @@ let default_value : ty -> Value.t = function
 let stmt_charge (cfg : Config.t) (s : stmt) : (int * int) option =
   let tag = Metrics.index_of_tag s.stag in
   match s.sdesc with
-  | Decl (_, _, Some e) -> Some (tag, Compile.expr_cost cfg e + cfg.arith_cost)
+  | Decl (_, _, Some e) -> Some (tag, expr_cost cfg e + cfg.arith_cost)
   | Decl (_, _, None) -> Some (tag, 0)
   | Decl_shared _ -> Some (tag, cfg.arith_cost)
   | Assign (lv, e) ->
       Some
         ( tag,
-          Compile.expr_cost cfg e
+          expr_cost cfg e
           + (match lv with
             | Index _ -> cfg.mem_cost + cfg.arith_cost
             | Member (Index _, _) -> (2 * cfg.mem_cost) + cfg.arith_cost
             | _ -> cfg.arith_cost) )
-  | Expr_stmt e -> Some (tag, Compile.expr_cost cfg e)
-  | Return (Some e) -> Some (tag, Compile.expr_cost cfg e)
+  | Expr_stmt e -> Some (tag, expr_cost cfg e)
+  | Return (Some e) -> Some (tag, expr_cost cfg e)
   | Return None -> Some (tag, 0)
   | Launch l ->
       Some
         ( tag,
           cfg.launch_issue_cost
-          + Compile.expr_cost cfg l.l_grid
-          + Compile.expr_cost cfg l.l_block
-          + List.fold_left (fun acc a -> acc + Compile.expr_cost cfg a) 0 l.l_args
+          + expr_cost cfg l.l_grid
+          + expr_cost cfg l.l_block
+          + List.fold_left (fun acc a -> acc + expr_cost cfg a) 0 l.l_args
         )
   | Sync | Syncwarp -> Some (tag, cfg.sync_cost)
   | Threadfence -> Some (tag, cfg.fence_cost)
@@ -850,7 +886,7 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
       | _ -> Value.error "in %s: invalid assignment target" env.fname);
       reset env m
   | If (c, a, b) ->
-      charge (Compile.expr_cost cfg c + cfg.branch_cost);
+      charge (expr_cost cfg c + cfg.branch_cost);
       let jf = lower_cond_jf env c in
       scoped env (fun () -> lower_stmts env a);
       if b = [] then patch_target env.em jf env.em.len
@@ -864,9 +900,9 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
       (* Rotated: the test is emitted twice — an entry guard, then again at
          the bottom of the body where the back edge becomes a fall-through
          test — so an iteration executes no unconditional jump. Both copies
-         charge the iteration cost first, like the closure engine's
-         per-iteration charge; [continue] targets the bottom test. *)
-      let iter_cost = float_of_int (Compile.expr_cost cfg c + cfg.branch_cost) in
+         charge the iteration cost first; [continue] targets the bottom
+         test. *)
+      let iter_cost = float_of_int (expr_cost cfg c + cfg.branch_cost) in
       let charge_iter () =
         if iter_cost <> 0.0 then ins (I_charge (tag, iter_cost))
       in
@@ -893,14 +929,13 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
          charge (one [I_charge] covering step + test; same sum at every
          observable point, since neither can launch once call-bearing
          steps are excluded). [continue] targets the step. The body is
-         lowered before the step here, unlike the closure compiler;
-         typechecking runs before lowering, so the swap cannot reorder
-         any user-visible error. *)
+         lowered before the step; typechecking runs before lowering, so
+         this cannot reorder any user-visible error. *)
       scoped env (fun () ->
           (match init with Some s -> lower_stmt env s | None -> ());
           let iter_cost =
             float_of_int
-              ((match cond with Some c -> Compile.expr_cost cfg c | None -> 0)
+              ((match cond with Some c -> expr_cost cfg c | None -> 0)
               + cfg.branch_cost)
           in
           let charge_iter () =
@@ -1032,7 +1067,8 @@ and lower_stmts env ss =
    initializers, source locations) are pooled and referenced by index.
 
    Opcode table — keep in sync with the dispatch match in {!Vm.interp}
-   (cross-engine differential tests catch any drift loudly):
+   (the frozen goldens in test/corpus/sim_*.fingerprints catch any drift
+   loudly):
 
      0 const.unit   [d]              30 max          [d; a; b]
      1 const.int    [d; n]           31 abs          [d; s]
@@ -1723,6 +1759,20 @@ let pack (code : instr array) (funcs : func array) =
 (* Program lowering                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Generated thresholding serial entry points: "..._serial", or
+   "..._serial_<n>" after fresh-name disambiguation. *)
+let has_serial_suffix name =
+  let suffix = "_serial" in
+  let nl = String.length name and sl = String.length suffix in
+  nl >= sl
+  && (String.sub name (nl - sl) sl = suffix
+     ||
+     match String.rindex_opt name '_' with
+     | Some i when i >= sl ->
+         String.sub name (i - sl) sl = suffix
+         && int_of_string_opt (String.sub name (i + 1) (nl - i - 1)) <> None
+     | _ -> false)
+
 let compile (cfg : Config.t) (prog : program) : prog =
   Typecheck.check prog;
   let funcs =
@@ -1736,7 +1786,7 @@ let compile (cfg : Config.t) (prog : program) : prog =
              bf_nparams = List.length f.f_params;
              bf_contains_launch = Ast_util.contains_launch f.f_body;
              bf_is_serial =
-               f.f_kind = Device && Compile.has_serial_suffix f.f_name;
+               f.f_kind = Device && has_serial_suffix f.f_name;
              bf_safety = Blocksafe.analyze prog f;
              bf_static_work = Blocksafe.static_work cfg f;
              bf_entry = 0;
@@ -1771,8 +1821,8 @@ let compile (cfg : Config.t) (prog : program) : prog =
       let followup =
         Option.map
           (fun ss ->
-            (* Like the closure compiler, the followup shares the body's
-               environment: top-level body locals stay visible. *)
+            (* The followup shares the body's environment: top-level body
+               locals stay visible. *)
             let fe = em.len in
             lower_stmts env ss;
             ignore (emit em I_ret_unit);

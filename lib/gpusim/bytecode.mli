@@ -2,10 +2,9 @@
 
     Lowers kernel bodies to a flat instruction array over a per-function
     register file, executed by {!Vm} over unboxed register banks. The
-    lowering mirrors {!Compile} case for case — same cost charging points,
-    same runtime error messages, same side-effect order — so the two engines
-    are observationally identical (pinned by the cross-engine differential
-    suite, [test/test_bytecode.ml]). *)
+    lowering fixes the simulator's cost charging points, runtime error
+    messages and side-effect order; the frozen goldens in
+    [test/corpus/sim_*.fingerprints] pin them bit for bit. *)
 
 type special = Sp_thread_idx | Sp_block_idx | Sp_block_dim | Sp_grid_dim
 
@@ -87,7 +86,7 @@ type func = {
           reused across sibling scopes. *)
   bf_nparams : int;
   bf_contains_launch : bool;
-      (** Drives {!Config.cdp_entry_cost}, as in the closure engine. *)
+      (** Drives {!Config.cdp_entry_cost}. *)
   bf_is_serial : bool;
   bf_safety : Blocksafe.summary;
       (** Cross-block independence proof for parallel dispatch
@@ -119,6 +118,11 @@ type prog = {
 }
 
 val find_func_exn : prog -> string -> func
+
+(** Static cost (cycles) of evaluating an expression once, assuming full
+    evaluation: both sides of short-circuit and ternary operators. Each
+    straight-line statement charges it as it starts. *)
+val expr_cost : Config.t -> Minicu.Ast.expr -> int
 
 (** [compile cfg prog] typechecks and lowers a whole program. *)
 val compile : Config.t -> Minicu.Ast.program -> prog

@@ -6,26 +6,13 @@
     effects (launch congestion, hardware underutilization, divergence), not
     the absolute values. All times are in cycles of a nominal SM clock. *)
 
-(** Which execution engine runs device code. [Bytecode], the default,
-    lowers kernel bodies to a flat instruction array over an unboxed
-    register file ({!Bytecode}/{!Vm}) whose loads and stores go straight
-    to {!Memory}'s unboxed lanes; [Closure] is the original closure-tree
-    interpreter ({!Compile}/{!Exec}), kept as the second implementation
-    the differential suites compare against. Both engines are
-    semantically identical — the cross-engine differential suite pins
-    bit-identical memory dumps and launch metrics — but bytecode avoids
-    per-step boxing and fibers. *)
-type engine = Closure | Bytecode
+(** The execution engine: kernel bodies lowered to a flat instruction
+    array over an unboxed register file ({!Bytecode}/{!Vm}), whose loads
+    and stores go straight to {!Memory}'s unboxed lanes. It is the only
+    engine; the type stays so that run headers can still print it. *)
+type engine = Bytecode
 
-let pp_engine ppf = function
-  | Closure -> Fmt.string ppf "closure"
-  | Bytecode -> Fmt.string ppf "bytecode"
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "closure" -> Some Closure
-  | "bytecode" -> Some Bytecode
-  | _ -> None
+let pp_engine ppf Bytecode = Fmt.string ppf "bytecode"
 
 (** Stratified grid sampling (paper-scale execution). When enabled, grids
     with at least [block_threshold] blocks simulate only a deterministic
@@ -36,7 +23,7 @@ let engine_of_string s =
     [launch_threshold] device launches likewise dispatch only a sample of
     them, with multiplicative inherited weights. The sample is a pure
     function of [seed] and the grid identity, so it is identical at any
-    [block_jobs] and across engines. *)
+    [block_jobs]. *)
 type sampling = {
   block_threshold : int;  (** Sample grids with at least this many blocks. *)
   block_frac : float;  (** Fraction of blocks to simulate, in (0, 1]. *)
@@ -112,7 +99,7 @@ type t = {
       (** Enable the dynamic sanitizer ({!Racecheck}): per-block shadow
           logging of memory accesses with barrier-epoch tags, plus source
           locations on out-of-bounds reports. Off by default; the
-          instrumentation is chosen at closure-compile time, so runs with
+          instrumentation is chosen at lowering time, so runs with
           [check = false] pay nothing. *)
 }
 
@@ -145,7 +132,7 @@ let default =
 
 (* ---- derived constants (consumed by lib/costmodel) ----
    These expose the machine laws the scheduler implements (sched.ml /
-   exec.ml) as plain numbers, so an analytical model can mirror them
+   vm.ml) as plain numbers, so an analytical model can mirror them
    without re-deriving the mechanics from simulator internals. *)
 
 let launch_service_rate cfg =

@@ -6,15 +6,12 @@
     underutilization, divergence), not the absolute values. All times are
     cycles of a nominal SM clock. *)
 
-(** Which execution engine runs device code: the flat bytecode/register
-    VM ([Bytecode]/[Vm], the default) or the closure-tree interpreter
-    ([Compile]/[Exec]). Semantics are identical (pinned by the
-    cross-engine differential suite); bytecode avoids per-step boxing and
-    fibers, and its device loads and stores allocate nothing. *)
-type engine = Closure | Bytecode
+(** The execution engine: the flat bytecode/register VM
+    ({!Bytecode}/{!Vm}), the only one. The type stays so that run
+    headers can still print it. *)
+type engine = Bytecode
 
 val pp_engine : Format.formatter -> engine -> unit
-val engine_of_string : string -> engine option
 
 (** Stratified grid sampling: grids with at least [block_threshold] blocks
     simulate only a deterministic stratified sample of their blocks, and
@@ -22,7 +19,7 @@ val engine_of_string : string -> engine option
     a sample of them; skipped work is represented by weights (scaled
     metrics, weighted launch-queue service, clock correction at drain).
     Samples are a pure function of [seed] and grid identity — identical at
-    any [block_jobs] and across engines. *)
+    any [block_jobs]. *)
 type sampling = {
   block_threshold : int;
   block_frac : float;  (** In (0, 1]. *)
@@ -78,8 +75,8 @@ type t = {
   (* sanitizer *)
   check : bool;
       (** Enable the dynamic sanitizer ({!Racecheck}). Off by default;
-          instrumentation is chosen at closure-compile time, so
-          [check = false] runs pay nothing. *)
+          instrumentation is chosen at lowering time, so [check = false]
+          runs pay nothing. *)
 }
 
 val default : t
@@ -89,7 +86,7 @@ val test_config : t
 
 (** {2 Derived constants}
 
-    Plain-number views of the scheduler's machine laws ([Sched]/[Exec]),
+    Plain-number views of the scheduler's machine laws ([Sched]/[Vm]),
     exposed for the analytical cost model ({e lib/costmodel}). *)
 
 (** Launches the grid-management unit serves per cycle

@@ -46,7 +46,7 @@ let memory t = t.mem
 let config t = t.cfg
 
 (** [load_program t prog ~auto_params] typechecks and compiles [prog] onto
-    the device, under the engine selected by {!Config.engine}.
+    the device ({!Bytecode.compile}).
     [auto_params] maps kernel names to the runtime-allocated trailing
     parameters their transformed signatures expect. *)
 let load_program ?(auto_params = []) t (prog : Minicu.Ast.program) =
@@ -108,7 +108,7 @@ let launch ?(role = `Parent) t ~kernel ~(grid : dim3) ~(block : dim3)
           specs
   in
   let args = args @ auto in
-  let expected = Sched.kernel_nparams cf in
+  let expected = cf.Bytecode.bf_nparams in
   if List.length args <> expected then
     Value.error
       "launch of %S: expected %d arguments (%d user + %d auto), got %d user"

@@ -121,7 +121,7 @@ let total_compute m =
     device's shared record, scaled by the block's sampling weight.
 
     At [weight = 1.0] this is {e bit-identical} to having executed the block
-    directly against [into]: the engines charge each breakdown category at
+    directly against [into]: the VM charges each breakdown category at
     most once per block with the category starting at [0.0], and
     [x +. (0.0 +. v) = x +. v] and [x +. 0.0 = x] exactly (the operands are
     never [-0.0]). That identity is what lets parallel batches commit

@@ -1,7 +1,7 @@
 (** Dynamic intra-block data-race detector ("racecheck" half of dpcheck).
 
     One value of type {!t} shadows one thread block: every instrumented
-    global/shared memory access (enabled by [Config.check]; see {!Compile})
+    global/shared memory access (enabled by [Config.check]; see {!Vm})
     is logged per address with its thread, warp, barrier epoch and warp
     epoch. Two same-address accesses race iff they come from different
     threads in the same barrier epoch, are not ordered by a warp-collective

@@ -30,29 +30,12 @@
 
 type dim3 = int * int * int
 
-(** A loaded program / resolved kernel under either execution engine
-    ({!Config.engine}); {!Device.load_program} picks the variant. *)
-type prog = P_closure of Compile.cprog | P_bytecode of Bytecode.prog
-
-type kernel = K_closure of Compile.cfunc | K_bytecode of Bytecode.func
-
-val kernel_name : kernel -> string
-val kernel_nparams : kernel -> int
-
-(** The kernel's cross-block independence proof ({!Blocksafe.analyze}),
-    computed at compile time under either engine. *)
-val kernel_safety : kernel -> Blocksafe.summary
-
-(** The kernel's static per-thread work estimate
-    ({!Blocksafe.static_work}). *)
-val kernel_static_work : kernel -> float
-
 (** One host stream / tenant. Every launch, block and compute cycle of the
     stream's grids is charged to [st_metrics]; grid ids are dense per
     stream. *)
 type stream = {
   st_id : int;  (** Tenant id; 0 is the device's default stream. *)
-  mutable st_prog : prog option;
+  mutable st_prog : Bytecode.prog option;
   st_metrics : Metrics.t;
   mutable st_next_grid_id : int;
 }
@@ -83,7 +66,7 @@ type grid = {
   g_id : int;
   g_stream : stream;
   g_job : job option;
-  g_kernel : kernel;
+  g_kernel : Bytecode.func;
   g_grid : dim3;
   g_block : dim3;
   g_args : Value.t list;
@@ -116,8 +99,7 @@ type t = {
   mutable next_stream_id : int;
   trace : Trace.t;  (** Off by default; see {!Trace.enable}. *)
   scratch : Vm.scratch;
-      (** Reusable per-block thread arena for the bytecode engine (serial
-          path). *)
+      (** Reusable per-block thread arena for the VM (serial path). *)
   mutable scratches : Vm.scratch array;
       (** Per-worker arenas for parallel batches; sized on first use. *)
   mutable par_batches : int;
@@ -139,7 +121,7 @@ val default_stream : t -> stream
     its own metrics record and grid-id namespace. *)
 val new_stream : t -> stream
 
-(** [load_stream t s prog] compiles [prog] under {!Config.engine} and loads
+(** [load_stream t s prog] compiles [prog] ({!Bytecode.compile}) and loads
     it onto stream [s]. Streams are independent: loading one does not
     disturb another. *)
 val load_stream : t -> stream -> Minicu.Ast.program -> unit
@@ -157,7 +139,7 @@ val launch_grid :
   ?weight:float ->
   t ->
   stream ->
-  kernel:kernel ->
+  kernel:Bytecode.func ->
   grid:dim3 ->
   block:dim3 ->
   args:Value.t list ->
@@ -185,7 +167,7 @@ val process_device_launch :
 
 (** Resolve a kernel by name in the stream's loaded program.
     @raise Value.Runtime_error if it is missing or not [__global__]. *)
-val resolve_kernel : stream -> string -> kernel
+val resolve_kernel : stream -> string -> Bytecode.func
 
 (** Process the single earliest block event: dispatch it onto the
     earliest-free SM, execute it, issue any launches it made, and complete

@@ -17,13 +17,19 @@
     from the program's side pools.
 
     Threads are explicit state machines (program counter, frame base, call
-    stack), not fibers: a thread runs until it finishes or parks at a
-    barrier / warp collective, and resuming it runs it immediately to its
-    next suspension — the same interleaving {!Exec} gets from
-    [Effect.Deep.continue]. Block-level semantics (warp-by-warp advance,
-    barrier epochs, divergent-collective errors, cost aggregation,
-    {!Racecheck} hooks) mirror {!Exec} exactly; the cross-engine
-    differential suite pins the two engines bit-for-bit.
+    stack): a thread runs until it finishes or parks at a barrier / warp
+    collective, and resuming it runs it immediately to its next
+    suspension. A block advances warp by warp: within a warp, threads run
+    in lane order until every live lane has reached the same warp
+    collective (evaluated, then all lanes resume) or the block barrier /
+    its end; when every warp is at the barrier, the next barrier epoch
+    begins. Threads that return before a barrier count as arrived at every
+    later one (the early-exit guard idiom); lanes split between a warp
+    collective and [__syncthreads] are an error. A warp's cost per tag is
+    the maximum over its lanes (the straggler is the critical path); a
+    block's is the sum over warps, scaled by
+    {!Config.sm_warp_parallelism}. The goldens in
+    [test/corpus/sim_*.fingerprints] pin all of it bit for bit.
 
     Per-block metadata lives in a {!scratch} arena owned by the scheduler:
     thread records, register banks and call stacks are preallocated and
@@ -34,11 +40,178 @@
 
 open Bytecode
 
+(* ------------------------------------------------------------------ *)
+(* Semantics: operators, warp collectives, launches, block context     *)
+(* ------------------------------------------------------------------ *)
+
+type warp_op = W_scan_excl | W_sum | W_max | W_bcast of int | W_sync
+
+type warp_req = { wop : warp_op; warg : Value.t }
+
+type launch_req = {
+  lr_kernel : string;
+  lr_grid : int * int * int;
+  lr_block : int * int * int;
+  lr_args : Value.t list;
+  lr_issue_cost : float;
+  lr_from_host : bool;
+}
+
+(* Per-block execution context. *)
+type bctx = {
+  mem : Memory.t;
+  cfg : Config.t;
+  metrics : Metrics.t;
+  bidx : int * int * int;
+  bdim : int * int * int;
+  gdim : int * int * int;
+  shared : (int, Value.ptr) Hashtbl.t;
+      (** Shared-memory buffers, keyed by declaration id (allocated by the
+          first thread to reach the declaration; uniform across the block). *)
+  mutable launches : launch_req list;  (** Launches issued by this block. *)
+  is_host_ctx : bool;  (** True when running a host followup. *)
+  racecheck : Racecheck.t option;
+      (** Per-block dynamic race detector; [Some] only when [Config.check]
+          is set and this is a device block. *)
+}
+
+type result = {
+  r_launches : launch_req list;
+  r_compute_cycles : float;
+  r_tag_cycles : float array;
+}
+
+(* Dynamic semantics of a binary operator on boxed values (C-style: float
+   wins, pointers admit arithmetic). The VM's typed fast paths must agree
+   with it case for case.
+   @raise Value.Runtime_error on division by zero or type mismatches. *)
+let eval_binop op (a : Value.t) (b : Value.t) : Value.t =
+  let open Minicu.Ast in
+  match op with
+  | Add -> (
+      match (a, b) with
+      | Value.Ptr p, v -> Value.Ptr { p with off = p.off + Value.as_int v }
+      | v, Value.Ptr p -> Value.Ptr { p with off = p.off + Value.as_int v }
+      | _ ->
+          if Value.is_float a || Value.is_float b then
+            Value.Float (Value.as_float a +. Value.as_float b)
+          else Value.Int (Value.as_int a + Value.as_int b))
+  | Sub -> (
+      match (a, b) with
+      | Value.Ptr p, Value.Ptr q ->
+          if p.buf <> q.buf then
+            Value.error "subtracting pointers into different buffers";
+          Value.Int (p.off - q.off)
+      | Value.Ptr p, v -> Value.Ptr { p with off = p.off - Value.as_int v }
+      | _ ->
+          if Value.is_float a || Value.is_float b then
+            Value.Float (Value.as_float a -. Value.as_float b)
+          else Value.Int (Value.as_int a - Value.as_int b))
+  | Mul ->
+      if Value.is_float a || Value.is_float b then
+        Value.Float (Value.as_float a *. Value.as_float b)
+      else Value.Int (Value.as_int a * Value.as_int b)
+  | Div ->
+      if Value.is_float a || Value.is_float b then
+        Value.Float (Value.as_float a /. Value.as_float b)
+      else
+        let d = Value.as_int b in
+        if d = 0 then Value.error "integer division by zero";
+        Value.Int (Value.as_int a / d)
+  | Mod ->
+      let d = Value.as_int b in
+      if d = 0 then Value.error "integer modulo by zero";
+      Value.Int (Value.as_int a mod d)
+  | Lt | Le | Gt | Ge -> (
+      let c =
+        if Value.is_float a || Value.is_float b then
+          compare (Value.as_float a) (Value.as_float b)
+        else compare (Value.as_int a) (Value.as_int b)
+      in
+      Value.Bool
+        (match op with
+        | Lt -> c < 0
+        | Le -> c <= 0
+        | Gt -> c > 0
+        | _ -> c >= 0))
+  | Eq | Ne -> (
+      let eq =
+        match (a, b) with
+        | Value.Ptr p, Value.Ptr q -> p = q
+        | _ ->
+            if Value.is_float a || Value.is_float b then
+              Value.as_float a = Value.as_float b
+            else Value.as_int a = Value.as_int b
+      in
+      Value.Bool (match op with Eq -> eq | _ -> not eq))
+  | LAnd -> Value.Bool (Value.as_bool a && Value.as_bool b)
+  | LOr -> Value.Bool (Value.as_bool a || Value.as_bool b)
+  | BAnd -> Value.Int (Value.as_int a land Value.as_int b)
+  | BOr -> Value.Int (Value.as_int a lor Value.as_int b)
+  | BXor -> Value.Int (Value.as_int a lxor Value.as_int b)
+  | Shl -> Value.Int (Value.as_int a lsl Value.as_int b)
+  | Shr -> Value.Int (Value.as_int a asr Value.as_int b)
+
+(* Evaluate a warp collective over the parked lanes: [reqs] holds
+   (lane index within the warp, request) pairs in lane order; returns the
+   per-lane results.
+   @raise Value.Runtime_error on divergent collectives or a broadcast
+   from a dead lane. *)
+let eval_warp_op (reqs : (int * warp_req) list) : (int * Value.t) list =
+  match reqs with
+  | [] -> []
+  | (_, first) :: _ -> (
+      let same_op (r : warp_req) =
+        match (first.wop, r.wop) with
+        | W_scan_excl, W_scan_excl
+        | W_sum, W_sum
+        | W_max, W_max
+        | W_sync, W_sync ->
+            true
+        | W_bcast a, W_bcast b -> a = b
+        | _ -> false
+      in
+      if not (List.for_all (fun (_, r) -> same_op r) reqs) then
+        Value.error
+          "divergent warp collectives: all lanes must execute the same \
+           collective";
+      match first.wop with
+      | W_sync -> List.map (fun (i, _) -> (i, Value.Unit)) reqs
+      | W_sum ->
+          let s =
+            List.fold_left (fun acc (_, r) -> acc + Value.as_int r.warg) 0 reqs
+          in
+          List.map (fun (i, _) -> (i, Value.Int s)) reqs
+      | W_max ->
+          let m =
+            List.fold_left
+              (fun acc (_, r) -> max acc (Value.as_int r.warg))
+              min_int reqs
+          in
+          List.map (fun (i, _) -> (i, Value.Int m)) reqs
+      | W_scan_excl ->
+          (* exclusive prefix sum over the live lanes, in lane order *)
+          let acc = ref 0 in
+          List.map
+            (fun (i, r) ->
+              let before = !acc in
+              acc := !acc + Value.as_int r.warg;
+              (i, Value.Int before))
+            reqs
+      | W_bcast lane ->
+          let v =
+            match List.assoc_opt lane (List.map (fun (i, r) -> (i, r.warg)) reqs) with
+            | Some v -> v
+            | None ->
+                Value.error "warp_bcast from lane %d, which is not live" lane
+          in
+          List.map (fun (i, _) -> (i, v)) reqs)
+
 type status =
   | T_not_started
   | T_running
   | T_at_sync
-  | T_at_warp of Compile.warp_req
+  | T_at_warp of warp_req
   | T_done
 
 (* Register tag codes (one byte per register). *)
@@ -68,16 +241,17 @@ type thread = {
   mutable st_dst : int array;  (** Absolute result register in the caller. *)
   mutable st_nregs : int array;
   mutable depth : int;
-  (* Cost accounting, as in {!Compile.tctx}. [tot] is a one-element
-     array rather than a mutable float field: mixed records box their
-     float fields, and charging is on the hottest interpreter path. *)
+  (* Cost accounting: per-tag cycles and their running total (observed by
+     launches as [lr_issue_cost]). [tot] is a one-element array rather
+     than a mutable float field: mixed records box their float fields,
+     and charging is on the hottest interpreter path. *)
   costs : float array;
   tot : float array;
   mutable default_idx : int;
   mutable tx : int;  (** [threadIdx], unboxed. *)
   mutable ty : int;
   mutable tz : int;
-  mutable blk : Compile.bctx;
+  mutable blk : bctx;
   mutable status : status;
   mutable wdst : int;  (** Absolute register awaiting a warp result. *)
 }
@@ -224,7 +398,7 @@ let get_dim3 t r =
   | _ -> Value.error "expected a dim3 or int, got %a" Value.pp (box t r)
 
 (* ------------------------------------------------------------------ *)
-(* Cost charging and sanitizer hooks (mirroring {!Compile})            *)
+(* Cost charging and sanitizer hooks                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Inlined so [c], read from the float pool, is never boxed. *)
@@ -234,24 +408,24 @@ let[@inline] charge_tag (t : thread) idx (c : float) =
   Array.unsafe_set t.tot 0 (Array.unsafe_get t.tot 0 +. c)
 
 let check_access (t : thread) ~kind ~loc buf off =
-  match t.blk.Compile.racecheck with
+  match t.blk.racecheck with
   | None -> ()
   | Some rc ->
-      let bx, by, _ = t.blk.Compile.bdim in
+      let bx, by, _ = t.blk.bdim in
       let tid = t.tx + (t.ty * bx) + (t.tz * bx * by) in
       Racecheck.record rc ~tid ~kind ~loc { Value.buf; off }
 
 let access_failed (t : thread) ~loc msg =
-  t.blk.Compile.metrics.Metrics.oob_detected <-
-    t.blk.Compile.metrics.Metrics.oob_detected + 1;
+  t.blk.metrics.Metrics.oob_detected <-
+    t.blk.metrics.Metrics.oob_detected + 1;
   raise (Value.Runtime_error (Fmt.str "%a: %s" Minicu.Loc.pp loc msg))
 
 let checked_load (t : thread) ~loc buf off =
-  try Memory.load_at t.blk.Compile.mem buf off
+  try Memory.load_at t.blk.mem buf off
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 let checked_store (t : thread) ~loc buf off v =
-  try Memory.store_at t.blk.Compile.mem buf off v
+  try Memory.store_at t.blk.mem buf off v
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 (* Device memory <-> register, lane to lane: a load or store allocates
@@ -294,14 +468,13 @@ let[@inline] dim3_field p x y z = function
   | 2 -> z
   | c -> Value.error "dim3 has no member %S" (field_name p c)
 
-(* Atomic combine — the exact expressions of the closure engine's
-   [compile_call], so coercion order (and failure order) is identical.
-   Argument order fits {!Memory.update}, which takes it as a closed
-   function. *)
+(* Atomic combine. Coercion order (and so failure order) is part of the
+   semantics. Argument order fits {!Memory.update}, which takes it as a
+   closed function. *)
 let atomic_combine (old : Value.t) (aop : atomic) (v : Value.t) : Value.t =
   match aop with
-  | A_add -> Compile.eval_binop Minicu.Ast.Add old v
-  | A_sub -> Compile.eval_binop Minicu.Ast.Sub old v
+  | A_add -> eval_binop Minicu.Ast.Add old v
+  | A_sub -> eval_binop Minicu.Ast.Sub old v
   | A_min ->
       if Value.is_float old || Value.is_float v then
         Value.Float (Float.min (Value.as_float old) (Value.as_float v))
@@ -377,7 +550,7 @@ let cmp2_slow (t : thread) mask ra rb : bool =
     let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
     and bf = if tb = tag_float then getf t rb else float_of_int (geti t rb) in
     float_cond op a bf
-  else Value.as_bool (Compile.eval_binop op (box t ra) (box t rb))
+  else Value.as_bool (eval_binop op (box t ra) (box t rb))
 
 let[@inline] cmp2 (t : thread) mask ra rb : bool =
   if tag_of t ra = tag_int && tag_of t rb = tag_int then
@@ -387,7 +560,7 @@ let[@inline] cmp2 (t : thread) mask ra rb : bool =
 let cmp1_slow (t : thread) mask ra n : bool =
   let op = Array.unsafe_get cond_tbl mask in
   if tag_of t ra = tag_float then float_cond op (getf t ra) (float_of_int n)
-  else Value.as_bool (Compile.eval_binop op (box t ra) (Value.Int n))
+  else Value.as_bool (eval_binop op (box t ra) (Value.Int n))
 
 let[@inline] cmp1 (t : thread) mask ra n : bool =
   if tag_of t ra = tag_int then int_cond mask (geti t ra) n
@@ -401,7 +574,7 @@ let[@inline] cmp1 (t : thread) mask ra n : bool =
 let binop_rr (t : thread) op rd ra rb =
   let ta = tag_of t ra and tb = tag_of t rb in
   let fallback () =
-    set_value t rd (Compile.eval_binop op (box t ra) (box t rb))
+    set_value t rd (eval_binop op (box t ra) (box t rb))
   in
   if ta = tag_int && tb = tag_int then
     let a = geti t ra and bi = geti t rb in
@@ -449,7 +622,7 @@ let binop_rr (t : thread) op rd ra rb =
    never needs materializing. *)
 let binop_ri (t : thread) op rd ra n =
   let fallback () =
-    set_value t rd (Compile.eval_binop op (box t ra) (Value.Int n))
+    set_value t rd (eval_binop op (box t ra) (Value.Int n))
   in
   match tag_of t ra with
   | 1 -> (
@@ -539,9 +712,9 @@ let interp (p : Bytecode.prog) (t : thread) =
          | sp ->
              let x, y, z =
                match sp with
-               | 1 -> t.blk.Compile.bidx
-               | 2 -> t.blk.Compile.bdim
-               | _ -> t.blk.Compile.gdim
+               | 1 -> t.blk.bidx
+               | 2 -> t.blk.bdim
+               | _ -> t.blk.gdim
              in
              set_dim3_v t d x y z);
         go (pc + 3)
@@ -554,9 +727,9 @@ let interp (p : Bytecode.prog) (t : thread) =
           | sp ->
               let x, y, z =
                 match sp with
-                | 1 -> t.blk.Compile.bidx
-                | 2 -> t.blk.Compile.bdim
-                | _ -> t.blk.Compile.gdim
+                | 1 -> t.blk.bidx
+                | 2 -> t.blk.bdim
+                | _ -> t.blk.gdim
               in
               dim3_field p x y z c);
         go (pc + 4)
@@ -601,7 +774,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         and f = Array.unsafe_get fpool (wd ops (pc + 4)) in
         let ta = tag_of t ra in
         let fallback () =
-          set_value t rd (Compile.eval_binop op (box t ra) (Value.Float f))
+          set_value t rd (eval_binop op (box t ra) (Value.Float f))
         in
         if ta = tag_float || ta = tag_int then
           let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
@@ -656,8 +829,8 @@ let interp (p : Bytecode.prog) (t : thread) =
         copy_reg t (b + wd ops (pc + 1)) r;
         go (pc + 3)
     | 23 (* dim3 *) ->
-        (* Coerces z, then y, then x: the closure engine's right-to-left
-           order, for the components whose [cast.int] lowering dropped. *)
+        (* Coerces z, then y, then x (right-to-left evaluation order),
+           for the components whose [cast.int] lowering dropped. *)
         let vz = get_int t (b + wd ops (pc + 4)) in
         let vy = get_int t (b + wd ops (pc + 3)) in
         let vx = get_int t (b + wd ops (pc + 2)) in
@@ -667,7 +840,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let rp = b + wd ops (pc + 2) in
         need_ptr t rp;
         let off = getib t rp + get_int t (b + wd ops (pc + 3)) in
-        load_into t (b + wd ops (pc + 1)) t.blk.Compile.mem (geti t rp) off;
+        load_into t (b + wd ops (pc + 1)) t.blk.mem (geti t rp) off;
         go (pc + 4)
     | 25 (* load.chk *) ->
         let rp = b + wd ops (pc + 2) in
@@ -676,14 +849,14 @@ let interp (p : Bytecode.prog) (t : thread) =
         let buf = geti t rp in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
         check_access t ~kind:Racecheck.Read ~loc buf off;
-        (try load_into t (b + wd ops (pc + 1)) t.blk.Compile.mem buf off
+        (try load_into t (b + wd ops (pc + 1)) t.blk.mem buf off
          with Value.Runtime_error msg -> access_failed t ~loc msg);
         go (pc + 5)
     | 26 (* store *) ->
         let rp = b + wd ops (pc + 1) in
         need_ptr t rp;
         let off = getib t rp + get_int t (b + wd ops (pc + 2)) in
-        store_from t t.blk.Compile.mem (geti t rp) off (b + wd ops (pc + 3));
+        store_from t t.blk.mem (geti t rp) off (b + wd ops (pc + 3));
         go (pc + 4)
     | 27 (* store.chk *) ->
         let rp = b + wd ops (pc + 1) in
@@ -692,7 +865,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let buf = geti t rp in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
         check_access t ~kind:Racecheck.Write ~loc buf off;
-        (try store_from t t.blk.Compile.mem buf off (b + wd ops (pc + 3))
+        (try store_from t t.blk.mem buf off (b + wd ops (pc + 3))
          with Value.Runtime_error msg -> access_failed t ~loc msg);
         go (pc + 5)
     | 28 (* addr *) ->
@@ -744,8 +917,8 @@ let interp (p : Bytecode.prog) (t : thread) =
           | _ -> Float.log x);
         go (pc + 4)
     | 33 (* pow *) ->
-        (* Operands are [cast.float] results; y-side first as in the
-           closure engine's right-to-left application. *)
+        (* Operands are [cast.float] results; y-side first (right-to-left
+           evaluation order). *)
         let fy = get_float t (b + wd ops (pc + 3)) in
         let fx = get_float t (b + wd ops (pc + 2)) in
         set_float t (b + wd ops (pc + 1)) (Float.pow fx fy);
@@ -756,7 +929,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         need_ptr t rp;
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.update t.blk.Compile.mem (geti t rp) (getib t rp)
+          Memory.update t.blk.mem (geti t rp) (getib t rp)
             atomic_combine aop v
         in
         set_value t (b + wd ops (pc + 2)) old;
@@ -779,7 +952,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let cmpv = box t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.update t.blk.Compile.mem (geti t rp) (getib t rp) cas_combine
+          Memory.update t.blk.mem (geti t rp) (getib t rp) cas_combine
             cmpv v
         in
         set_value t (b + wd ops (pc + 1)) old;
@@ -801,10 +974,10 @@ let interp (p : Bytecode.prog) (t : thread) =
         let n = get_int t (b + wd ops (pc + 2)) in
         set_ptr t
           (b + wd ops (pc + 1))
-          (Memory.alloc t.blk.Compile.mem n ~init:(Value.Int 0));
+          (Memory.alloc t.blk.mem n ~init:(Value.Int 0));
         go (pc + 3)
     | 39 (* warp *) ->
-        if t.blk.Compile.is_host_ctx then (
+        if t.blk.is_host_ctx then (
           (match wd ops (pc + 2) with
           | 3 (* Wk_sync *) -> set_unit t (b + wd ops (pc + 1))
           | _ -> Value.error "warp collective in host context");
@@ -812,18 +985,18 @@ let interp (p : Bytecode.prog) (t : thread) =
         else begin
           let wop =
             match wd ops (pc + 2) with
-            | 0 -> Compile.W_scan_excl
-            | 1 -> Compile.W_sum
-            | 2 -> Compile.W_max
-            | _ -> Compile.W_sync
+            | 0 -> W_scan_excl
+            | 1 -> W_sum
+            | 2 -> W_max
+            | _ -> W_sync
           in
           t.pc <- pc + 4;
           t.wdst <- b + wd ops (pc + 1);
           t.status <-
-            T_at_warp { Compile.wop; warg = box t (b + wd ops (pc + 3)) }
+            T_at_warp { wop; warg = box t (b + wd ops (pc + 3)) }
         end
     | 40 (* warp.bcast *) ->
-        if t.blk.Compile.is_host_ctx then
+        if t.blk.is_host_ctx then
           Value.error "warp collective in host context"
         else begin
           let lane = geti t (b + wd ops (pc + 3)) in
@@ -832,7 +1005,7 @@ let interp (p : Bytecode.prog) (t : thread) =
           t.status <-
             T_at_warp
               {
-                Compile.wop = Compile.W_bcast lane;
+                wop = W_bcast lane;
                 warg = box t (b + wd ops (pc + 2));
               }
         end
@@ -856,8 +1029,8 @@ let interp (p : Bytecode.prog) (t : thread) =
         t.base <- nbase;
         t.nregs <- callee.bf_nregs;
         if callee.bf_is_serial then
-          t.blk.Compile.metrics.Metrics.serialized_launches <-
-            t.blk.Compile.metrics.Metrics.serialized_launches + 1;
+          t.blk.metrics.Metrics.serialized_launches <-
+            t.blk.metrics.Metrics.serialized_launches + 1;
         go (wd ops (pc + 3))
     | 42 (* ret.unit *) ->
         if t.depth = 0 then t.status <- T_done
@@ -920,7 +1093,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         need_ptr t rp;
         let off = getib t rp + get_int t (b + wd ops (pc + 5)) in
         let buf = geti t rp in
-        let v = Memory.load_at t.blk.Compile.mem buf off in
+        let v = Memory.load_at t.blk.mem buf off in
         let x, y, z =
           match v with
           | Value.Dim3 d -> d
@@ -965,7 +1138,7 @@ let interp (p : Bytecode.prog) (t : thread) =
           | "z" -> (x, y, n)
           | f -> Value.error "dim3 has no member %S" f
         in
-        Memory.store_at t.blk.Compile.mem buf off (Value.Dim3 d);
+        Memory.store_at t.blk.mem buf off (Value.Dim3 d);
         go (pc + 8)
     | 53 (* mstore.chk *) ->
         let rp = b + wd ops (pc + 1) in
@@ -987,7 +1160,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         checked_store t ~loc buf off (Value.Dim3 d);
         go (pc + 9)
     | 54 (* shared.hit *) -> (
-        match Hashtbl.find_opt t.blk.Compile.shared (wd ops (pc + 2)) with
+        match Hashtbl.find_opt t.blk.shared (wd ops (pc + 2)) with
         | Some ptr ->
             set_ptr t (b + wd ops (pc + 1)) ptr;
             go (wd ops (pc + 3))
@@ -995,8 +1168,8 @@ let interp (p : Bytecode.prog) (t : thread) =
     | 55 (* shared.new *) ->
         let n = get_int t (b + wd ops (pc + 3)) in
         let dv = Array.unsafe_get p.bp_vpool (wd ops (pc + 4)) in
-        let ptr = Memory.alloc t.blk.Compile.mem n ~init:dv in
-        Hashtbl.add t.blk.Compile.shared (wd ops (pc + 2)) ptr;
+        let ptr = Memory.alloc t.blk.mem n ~init:dv in
+        Hashtbl.add t.blk.shared (wd ops (pc + 2)) ptr;
         set_ptr t (b + wd ops (pc + 1)) ptr;
         go (pc + 5)
     | 56 (* launch.chk *) ->
@@ -1007,11 +1180,11 @@ let interp (p : Bytecode.prog) (t : thread) =
           Value.error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
         let blkr = b + wd ops (pc + 3) in
         let block = (geti t blkr, getib t blkr, getic t blkr) in
-        if Value.dim3_total block > t.blk.Compile.cfg.Config.max_threads_per_block
+        if Value.dim3_total block > t.blk.cfg.Config.max_threads_per_block
         then
           Value.error "launch of %S with %d threads per block (max %d)" kernel
             (Value.dim3_total block)
-            t.blk.Compile.cfg.Config.max_threads_per_block;
+            t.blk.cfg.Config.max_threads_per_block;
         go (pc + 4)
     | 57 (* launch *) ->
         let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
@@ -1024,19 +1197,19 @@ let interp (p : Bytecode.prog) (t : thread) =
           if i = nargs then [] else box t (b + wd ops (pc + 5 + i)) :: collect (i + 1)
         in
         let args = collect 0 in
-        t.blk.Compile.launches <-
+        t.blk.launches <-
           {
-            Compile.lr_kernel = kernel;
+            lr_kernel = kernel;
             lr_grid = grid;
             lr_block = block;
             lr_args = args;
             lr_issue_cost = t.tot.(0);
-            lr_from_host = t.blk.Compile.is_host_ctx;
+            lr_from_host = t.blk.is_host_ctx;
           }
-          :: t.blk.Compile.launches;
+          :: t.blk.launches;
         go (pc + 5 + nargs)
     | 58 (* sync *) ->
-        if t.blk.Compile.is_host_ctx then go (pc + 1)
+        if t.blk.is_host_ctx then go (pc + 1)
         else begin
           t.pc <- pc + 1;
           t.status <- T_at_sync
@@ -1156,7 +1329,7 @@ let interp (p : Bytecode.prog) (t : thread) =
 (* Thread pool (per-scheduler scratch arena)                           *)
 (* ------------------------------------------------------------------ *)
 
-let make_thread (blk : Compile.bctx) : thread =
+let make_thread (blk : bctx) : thread =
   {
     tags = Bytes.make 64 '\000';
     ia = Array.make 64 0;
@@ -1193,7 +1366,7 @@ type scratch = {
 
 let create_scratch () = { threads = [||]; args = None }
 
-let ensure_threads (s : scratch) (blk : Compile.bctx) n =
+let ensure_threads (s : scratch) (blk : bctx) n =
   let have = Array.length s.threads in
   if have < n then begin
     let old = s.threads in
@@ -1202,7 +1375,7 @@ let ensure_threads (s : scratch) (blk : Compile.bctx) n =
   end
 
 (* Unbox [args] into the template's registers; returns their count. *)
-let fill_template (s : scratch) (blk : Compile.bctx) (args : Value.t list) =
+let fill_template (s : scratch) (blk : bctx) (args : Value.t list) =
   let tm =
     match s.args with
     | Some tm -> tm
@@ -1224,8 +1397,8 @@ let fill_template (s : scratch) (blk : Compile.bctx) (args : Value.t list) =
    zero the cost counters, point the pc at the kernel entry and seed the
    frame with the launch arguments from the template [tm]. Registers
    beyond the arguments keep stale payloads but get Unit tags, exactly
-   like a fresh closure frame. Allocates nothing. *)
-let reset_thread (t : thread) (blk : Compile.bctx) ~tx ~ty ~tz ~default_idx
+   like a fresh frame. Allocates nothing. *)
+let reset_thread (t : thread) (blk : bctx) ~tx ~ty ~tz ~default_idx
     ~entry ~nregs (tm : thread) nargs =
   t.blk <- blk;
   t.tx <- tx;
@@ -1251,14 +1424,14 @@ let reset_thread (t : thread) (blk : Compile.bctx) ~tx ~ty ~tz ~default_idx
   t.wdst <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Block execution (mirrors {!Exec.run_block})                         *)
+(* Block execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     ~(args : Value.t list) ~(gdim : int * int * int)
     ~(bdim : int * int * int) ~(bidx : int * int * int) ~(mem : Memory.t)
     ~(cfg : Config.t) ~(metrics : Metrics.t) ~(default_idx : int) :
-    Exec.result =
+    result =
   let bx, by, bz = bdim in
   let nthreads = bx * by * bz in
   if nthreads <= 0 then Value.error "empty block dimension";
@@ -1270,7 +1443,7 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
   in
   let blk =
     {
-      Compile.mem;
+      mem;
       cfg;
       metrics;
       bidx;
@@ -1334,9 +1507,9 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
                 (i - lo)
           | T_not_started | T_running -> assert false
         done;
-        let results = Exec.eval_warp_op reqs in
-        (* new warp epoch before the lanes resume, as in {!Exec} *)
-        (match blk.Compile.racecheck with
+        let results = eval_warp_op reqs in
+        (* new warp epoch before the lanes resume *)
+        (match blk.racecheck with
         | Some rc -> Racecheck.bump_wepoch rc w
         | None -> ());
         List.iter
@@ -1366,7 +1539,7 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     if not (all_done ()) then begin
       (* all remaining threads are at the barrier: release them; the new
          barrier epoch starts before any thread resumes *)
-      (match blk.Compile.racecheck with
+      (match blk.racecheck with
       | Some rc -> Racecheck.bump_epoch rc
       | None -> ());
       let waiting = ref 0 in
@@ -1385,12 +1558,12 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     end
   in
   block_loop ();
-  (match blk.Compile.racecheck with
+  (match blk.racecheck with
   | Some rc -> Racecheck.commit rc ~kernel:kernel.bf_name ~bidx metrics
   | None -> ());
   (* free shared-memory buffers *)
-  Hashtbl.iter (fun _ ptr -> Memory.free mem ptr) blk.Compile.shared;
-  (* cost aggregation: per-warp, per-tag maxima — identical to {!Exec} *)
+  Hashtbl.iter (fun _ ptr -> Memory.free mem ptr) blk.shared;
+  (* cost aggregation: per-warp, per-tag maxima *)
   let tag_cycles = Array.make Metrics.num_tags 0.0 in
   for w = 0 to nwarps - 1 do
     let lo = w * ws and hi = min ((w + 1) * ws) nthreads in
@@ -1415,22 +1588,22 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
   metrics.Metrics.blocks_executed <- metrics.Metrics.blocks_executed + 1;
   metrics.Metrics.threads_executed <- metrics.Metrics.threads_executed + nthreads;
   {
-    Exec.r_launches = List.rev blk.Compile.launches;
+    r_launches = List.rev blk.launches;
     r_compute_cycles = compute;
     r_tag_cycles = scaled;
   }
 
-(* Host-followup execution (mirrors {!Exec.run_host_stmts}): one
-   pseudo-thread, host launch semantics, no device cost charged. [entry]
+(* Host-followup execution: one pseudo-thread, host launch semantics, no
+   device cost charged (the host is not the simulated device). [entry]
    is an instruction index ([bf_followup]); translated to its word offset
    here. *)
 let run_host_stmts (p : Bytecode.prog) (kernel : Bytecode.func)
     ~(entry : int) ~(args : Value.t list) ~(grid : int * int * int)
     ~(block : int * int * int) ~(mem : Memory.t) ~(cfg : Config.t)
-    ~(metrics : Metrics.t) : Compile.launch_req list =
+    ~(metrics : Metrics.t) : launch_req list =
   let blk =
     {
-      Compile.mem;
+      mem;
       cfg;
       metrics;
       bidx = (0, 0, 0);
@@ -1452,4 +1625,4 @@ let run_host_stmts (p : Bytecode.prog) (kernel : Bytecode.func)
   t.pc <- p.bp_woff.(entry);
   t.status <- T_running;
   interp p t;
-  List.rev blk.Compile.launches
+  List.rev blk.launches

@@ -18,11 +18,6 @@ let knobs =
       doc = "Synthetic requests per @serve compile-service smoke";
     };
     {
-      name = "BYTECODE_SMOKE_ITERS";
-      default = 60_000;
-      doc = "Loop trip count of the @ir engine-throughput gate";
-    };
-    {
       name = "NATIVE_SMOKE_ITERS";
       default = 3;
       doc = "Repeated native executions per @native backend smoke";

@@ -1,9 +1,8 @@
 (** The MiniCU → native-OCaml transpiler.
 
     Emitted code is dynamically typed over {!Nrt.v} and replicates the
-    simulator's closure interpreter ({!Gpusim.Compile}) construct by
-    construct: the same coercions, the same operator semantics (pointer
-    arithmetic, float-if-either promotion, division-by-zero errors), the
+    simulator ({!Gpusim.Bytecode}/{!Gpusim.Vm}) construct by construct:
+    the same coercions, the same operator semantics (pointer arithmetic, float-if-either promotion, division-by-zero errors), the
     same evaluation order (operands are let-bound in source order — OCaml
     application alone would evaluate right-to-left), the same control-flow
     exceptions ([Nrt.Ret]/[Brk]/[Cont], with [continue] still running a
@@ -31,7 +30,8 @@ let unsupported loc fmt = Fmt.kstr (fun s -> raise (Unsupported (loc, s))) fmt
 type env = {
   prog : program;
   mutable tmp : int;  (** Fresh let-temp counter (per function). *)
-  mutable shared_ids : int;  (** Per-function shared-decl ids, as Compile. *)
+  mutable shared_ids : int;
+      (** Per-function shared-decl ids, as the simulator's lowering. *)
   mutable cur_loc : Loc.t;
 }
 

@@ -1,14 +1,16 @@
 (* The simulator's frozen verdicts, plus the bytecode lowering's shape.
 
-   Four layers, ordered by how bugs have historically surfaced:
+   Four layers, ordered by how bugs have historically surfaced, then the
+   lowering-shape and loop-fusion checks:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
         become reviewable diffs (CORPUS_PROMOTE=1 rewrites);
      2. hand-written edge-semantics fixtures (NaN/inf, division by zero,
         checked shared-array OOB, atomics ordering, error order) — where
         unboxing bugs hide: memory, metrics and *exceptions* must match
-        the golden line frozen while the closure interpreter still ran
-        beside the VM and both agreed;
+        the golden line frozen while a second engine (a closure-tree
+        interpreter, since removed) still ran beside the VM and both
+        agreed;
      3. sanitizer findings — dpcheck's dynamic findings (race reports,
         OOB) on the bad_* corpus fixtures, also frozen;
      4. the benchmark matrix — every Table I benchmark under all 8 pass
@@ -68,13 +70,12 @@ let disasm_tests =
     disasm_fixtures
 
 (* ------------------------------------------------------------------ *)
-(* Layer 2: edge-semantics fixtures                                   *)
+(* Layer 2: edge-semantics fixtures                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [src] to completion (or to an exception) under one engine: the
-   finished device, or the raised exception's rendering. *)
-let run_engine ~cfg ~grid ~block ~kernel ~mk_args engine src =
-  let cfg = { cfg with Config.engine } in
+(* Run [src] to completion (or to an exception): the finished device, or
+   the raised exception's rendering. *)
+let run_src ~cfg ~grid ~block ~kernel ~mk_args src =
   let dev = Device.create ~cfg () in
   Device.load_program dev (Minicu.Parser.program src);
   let args = mk_args dev in
@@ -90,21 +91,10 @@ let outcome_line = function
   | Ok dev -> Test_helpers.fingerprint dev
   | Error e -> "raises " ^ e
 
-(* Run under both engines; their lines must be equal. Returns the
-   closure engine's outcome, the one the goldens are promoted from. *)
-let both_engines run =
-  let closure = run Config.Closure and bytecode = run Config.Bytecode in
-  let c = outcome_line closure and b = outcome_line bytecode in
-  if c <> b then
-    Alcotest.failf "engines diverge:@.closure:  %s@.bytecode: %s" c b;
-  closure
-
 let frozen name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
     ?(block = (1, 1, 1)) ~kernel ~mk_args src =
   t name (fun () ->
-      let outcome =
-        both_engines (fun e -> run_engine ~cfg ~grid ~block ~kernel ~mk_args e src)
-      in
+      let outcome = run_src ~cfg ~grid ~block ~kernel ~mk_args src in
       Test_corpus.golden_line ~file:fixtures_golden ~key:name
         (outcome_line outcome))
 
@@ -324,9 +314,8 @@ let shape_tests =
 let error_order name ~mk_args ~outcome ~shape src =
   t name (fun () ->
       let r =
-        both_engines (fun e ->
-            run_engine ~cfg:Config.test_config ~grid:(1, 1, 1)
-              ~block:(1, 1, 1) ~kernel:"k" ~mk_args e src)
+        run_src ~cfg:Config.test_config ~grid:(1, 1, 1) ~block:(1, 1, 1)
+          ~kernel:"k" ~mk_args src
       in
       Test_corpus.golden_line ~file:fixtures_golden ~key:name (outcome_line r);
       outcome r;
@@ -401,15 +390,11 @@ let sanitizer_findings base =
       in
       let prog = Minicu.Parser.program ~file src in
       let dirs = Analysis.Dynamic.directives src in
-      let findings engine =
-        Analysis.Dynamic.run ~cfg:{ Config.test_config with engine } prog dirs
-      in
-      let closure = findings Config.Closure in
-      Alcotest.(check (list string)) base closure (findings Config.Bytecode);
-      if closure = [] then
+      let findings = Analysis.Dynamic.run ~cfg:Config.test_config prog dirs in
+      if findings = [] then
         Alcotest.failf "%s: expected at least one dynamic finding" base;
       Test_corpus.golden_line ~file:fixtures_golden ~key:base
-        (String.concat "; " (List.map (Printf.sprintf "%S") closure)))
+        (String.concat "; " (List.map (Printf.sprintf "%S") findings)))
 
 let sanitizer_tests =
   List.map sanitizer_findings [ "bad_race_rw"; "bad_race_ww"; "bad_oob_dynamic" ]
@@ -420,27 +405,18 @@ let sanitizer_tests =
 
 (* A benchmark cell's golden line: the benchmark's own output fingerprint
    ([spec.run]) and the run's. *)
-let spec_line engine (spec : Benchmarks.Bench_common.spec) v =
-  let cfg = { Config.default with engine } in
-  let dev = Benchmarks.Bench_common.load_variant ~cfg spec v in
+let spec_line (spec : Benchmarks.Bench_common.spec) v =
+  let dev = Benchmarks.Bench_common.load_variant ~cfg:Config.default spec v in
   let fp = spec.run dev in
   Fmt.str "fp=%d %s" fp (Test_helpers.fingerprint dev)
 
 let spec_cell (spec : Benchmarks.Bench_common.spec) vname =
   Fmt.str "%s/%s under %s" spec.name spec.dataset vname
 
-(* Both engines' lines, which must agree; the closure engine's is kept. *)
-let spec_line_both spec v =
-  let c = spec_line Config.Closure spec v in
-  let b = spec_line Config.Bytecode spec v in
-  if c <> b then
-    Alcotest.failf "engines diverge:@.closure:  %s@.bytecode: %s" c b;
-  c
-
 let spec_golden ~file tier (spec : Benchmarks.Bench_common.spec) (vname, v) =
   let key = spec_cell spec vname in
   tier (key ^ ": engines' frozen fingerprint holds") (fun () ->
-      Test_corpus.golden_line ~file ~key (spec_line_both spec v))
+      Test_corpus.golden_line ~file ~key (spec_line spec v))
 
 let combos () =
   List.map (fun (l, o) -> (l, `Cdp o)) (Dpopt.Pipeline.enumerate ())
@@ -463,6 +439,54 @@ let registry_tests =
     (fun spec -> spec_golden ~file:registry_golden slow spec ("CDP+T+C+A", full))
     (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ())
 
+(* ------------------------------------------------------------------ *)
+(* Loop fusion                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A counting loop with an empty body runs as one packed dispatch per
+   iteration: its only back edge belongs to a fused [loop.cc]/[loop.cci]
+   superinstruction (charge; k += 1; compare and branch — opcodes 59/60,
+   8 words) that jumps to its own word offset. This fusion is where the
+   VM's speed on tight loops comes from. *)
+let count_loop_src =
+  {|
+__global__ void micro(int* out, int iters) {
+  int s = 0;
+  for (int k = 0; k < iters; k = k + 1) { }
+  out[threadIdx.x] = s;
+}
+|}
+
+let fusion_tests =
+  [
+    t "count loop: one packed dispatch per iteration" (fun () ->
+        let p =
+          Bytecode.compile Config.default
+            (Minicu.Parser.program count_loop_src)
+        in
+        let back_edges = ref [] in
+        Array.iteri
+          (fun j -> function
+            | Bytecode.I_cmp_jt (_, _, _, tg)
+            | I_cmp_jt_int (_, _, _, tg)
+            | I_jump tg
+              when tg <= j ->
+                back_edges := (j, tg) :: !back_edges
+            | _ -> ())
+          p.bp_code;
+        match !back_edges with
+        | [ (j, tg) ] ->
+            let w = p.bp_woff.(tg) in
+            Alcotest.(check bool)
+              "the loop starts a loop.cc/loop.cci superinstruction" true
+              (p.bp_ops.(w) = 59 || p.bp_ops.(w) = 60);
+            Alcotest.(check int) "the whole loop packs into its 8 words" 8
+              (p.bp_woff.(j + 1) - w);
+            Alcotest.(check int) "its branch jumps to itself" w
+              p.bp_ops.(w + 7)
+        | l -> Alcotest.failf "expected one back edge, got %d" (List.length l));
+  ]
+
 let suite =
   disasm_tests @ edge_tests @ shape_tests @ error_order_tests @ sanitizer_tests
-  @ combo_tests @ registry_tests
+  @ combo_tests @ registry_tests @ fusion_tests

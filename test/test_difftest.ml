@@ -16,9 +16,9 @@ let has_prefix ~prefix s =
 (* A generated case's golden line under the unit config: the baseline's
    exact fingerprint ({!Test_helpers.fingerprint}) and an MD5 over every
    default variant's. *)
-let seed_line engine seed =
+let seed_line seed =
   let case = Gen.case_of_seed seed in
-  let cfg = { (snd (List.hd unit_config)) with Gpusim.Config.engine } in
+  let cfg = snd (List.hd unit_config) in
   let line (v : Oracle.variant) prog =
     match Oracle.run_device ~cfg (v.v_compile prog) case with
     | dev, _ -> Test_helpers.fingerprint dev
@@ -35,15 +35,6 @@ let seed_line engine seed =
       Fmt.str "base=%s variants=%s"
         (line Oracle.baseline_variant prog)
         (Digest.to_hex (Digest.string (String.concat "\n" variants)))
-
-(* Both engines' lines must agree; the closure engine's is kept. *)
-let seed_line_both seed =
-  let c = seed_line Gpusim.Config.Closure seed in
-  let b = seed_line Gpusim.Config.Bytecode seed in
-  if c <> b then
-    Alcotest.failf "seed %d: engines diverge:@.closure:  %s@.bytecode: %s"
-      seed c b;
-  c
 
 let suite =
   [
@@ -182,5 +173,5 @@ let suite =
     Alcotest.test_case "300 generated cases match their frozen fingerprints"
       `Slow (fun () ->
         Test_corpus.golden_lines ~file:"sim_gen.fingerprints"
-          (List.init 300 (fun seed -> (Fmt.str "seed %d" seed, seed_line_both seed))));
+          (List.init 300 (fun seed -> (Fmt.str "seed %d" seed, seed_line seed))));
   ]

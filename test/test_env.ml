@@ -12,7 +12,6 @@ let expected =
     ("DPFUZZ_ITERS", 25);
     ("DPCHECK_ITERS", 200);
     ("DPOPTD_REQS", 200);
-    ("BYTECODE_SMOKE_ITERS", 60_000);
     ("NATIVE_SMOKE_ITERS", 3);
     ("MT_SMOKE_JOBS", 6);
     ("SCALE_JOBS", 4);

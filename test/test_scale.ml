@@ -50,19 +50,6 @@ let check_same_outcome label (a : outcome) (b : outcome) =
 let frozen key (o : outcome) =
   Test_corpus.golden_line ~file:"sim_scale.fingerprints" ~key o.o_line
 
-let engines = [ (Config.Closure, "closure"); (Config.Bytecode, "bytecode") ]
-
-(* [f] under each engine: the outcomes must be equal; the closure
-   engine's is returned, for the golden. *)
-let across_engines label f =
-  match List.map (fun (engine, ename) -> (ename, f engine)) engines with
-  | (_, first) :: rest ->
-      List.iter
-        (fun (ename, o) -> check_same_outcome (label ^ ": closure vs " ^ ename) first o)
-        rest;
-      first
-  | [] -> assert false
-
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -149,20 +136,17 @@ let test_blocksafe_classify () =
 (* ------------------------------------------------------------------ *)
 
 let par_identity ~key ~src ~drive () =
-  frozen key
-    (across_engines key (fun engine ->
-         let cfg = { Config.test_config with engine } in
-         let serial, _ = run_driver ~cfg ~src drive in
-         let par, dev4 =
-           run_driver ~cfg:{ cfg with block_jobs = 4 } ~src drive
-         in
-         check_same_outcome (key ^ " -j1 vs -j4") serial par;
-         let batches, blocks = Device.par_stats dev4 in
-         Alcotest.(check bool)
-           (key ^ ": parallel batches formed")
-           true
-           (batches > 0 && blocks >= 2 * batches);
-         serial))
+  let serial, _ = run_driver ~src drive in
+  let par, dev4 =
+    run_driver ~cfg:{ Config.test_config with block_jobs = 4 } ~src drive
+  in
+  check_same_outcome (key ^ " -j1 vs -j4") serial par;
+  let batches, blocks = Device.par_stats dev4 in
+  Alcotest.(check bool)
+    (key ^ ": parallel batches formed")
+    true
+    (batches > 0 && blocks >= 2 * batches);
+  frozen key serial
 
 let test_par_identity_owned =
   par_identity ~key:"owned" ~src:owned_src ~drive:drive_owned
@@ -173,20 +157,18 @@ let test_par_identity_reduce =
 (* Unsafe (launching) kernels fall back to serial execution inside the
    parallel drain — identical results, no concurrent batches. *)
 let test_par_identity_unsafe () =
-  frozen "nested"
-    (across_engines "nested" (fun engine ->
-         let run jobs =
-           let cfg = { Config.test_config with engine; block_jobs = jobs } in
-           let r =
-             Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
-               (Minicu.Parser.program Test_helpers.nested_src)
-           in
-           let dev, _, _ = Test_helpers.nested_device ~cfg r in
-           outcome_of dev
-         in
-         let a = run 1 in
-         check_same_outcome "nested -j1 vs -j4" a (run 4);
-         a))
+  let run jobs =
+    let cfg = { Config.test_config with block_jobs = jobs } in
+    let r =
+      Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
+        (Minicu.Parser.program Test_helpers.nested_src)
+    in
+    let dev, _, _ = Test_helpers.nested_device ~cfg r in
+    outcome_of dev
+  in
+  let a = run 1 in
+  check_same_outcome "nested -j1 vs -j4" a (run 4);
+  frozen "nested" a
 
 (* Benchmark-level identity: registry cells, exact, -j1 vs -j4.
    BT/T0032-C16 CDP dispatches parallel batches; the other two cells hold
@@ -208,52 +190,42 @@ let test_par_identity_benchmark () =
         | None -> Alcotest.failf "%s/%s missing from registry" name dataset
       in
       let key = Fmt.str "%s/%s %s" name dataset vname in
-      frozen key
-        (across_engines key (fun engine ->
-             let run jobs =
-               let cfg = { Config.default with engine; block_jobs = jobs } in
-               let dev =
-                 Benchmarks.Bench_common.load_variant ~cfg spec
-                   (match variant with
-                   | Harness.Variant.No_cdp -> `No_cdp
-                   | Harness.Variant.Cdp o -> `Cdp o)
-               in
-               let fp = spec.run dev in
-               let o = outcome_of dev in
-               (fp, { o with o_line = Fmt.str "fp=%d %s" fp o.o_line })
-             in
-             let fa, a = run 1 and fb, b = run 4 in
-             Alcotest.(check int) (key ^ ": reference") (spec.reference ()) fa;
-             Alcotest.(check int) (key ^ ": fingerprint") fa fb;
-             check_same_outcome (key ^ " -j1 vs -j4") a b;
-             a)))
+      let run jobs =
+        let cfg = { Config.default with block_jobs = jobs } in
+        let dev =
+          Benchmarks.Bench_common.load_variant ~cfg spec
+            (match variant with
+            | Harness.Variant.No_cdp -> `No_cdp
+            | Harness.Variant.Cdp o -> `Cdp o)
+        in
+        let fp = spec.run dev in
+        let o = outcome_of dev in
+        (fp, { o with o_line = Fmt.str "fp=%d %s" fp o.o_line })
+      in
+      let fa, a = run 1 and fb, b = run 4 in
+      Alcotest.(check int) (key ^ ": reference") (spec.reference ()) fa;
+      Alcotest.(check int) (key ^ ": fingerprint") fa fb;
+      check_same_outcome (key ^ " -j1 vs -j4") a b;
+      frozen key a)
     par_identity_cells
 
 (* ------------------------------------------------------------------ *)
 (* Sampling: determinism, off-switches, extrapolation                   *)
 (* ------------------------------------------------------------------ *)
 
-let sampled_cfg ?(engine = Config.Closure) ?(block_jobs = 1) () =
-  {
-    Config.test_config with
-    engine;
-    block_jobs;
-    sampling = Some Config.default_sampling;
-  }
+let sampled_cfg ?(block_jobs = 1) () =
+  { Config.test_config with block_jobs; sampling = Some Config.default_sampling }
 
 let test_sampling_deterministic () =
-  frozen "skewed sampled"
-    (across_engines "skewed sampled" (fun engine ->
-         let run jobs =
-           fst
-             (run_driver
-                ~cfg:(sampled_cfg ~engine ~block_jobs:jobs ())
-                ~src:skewed_src drive_skewed)
-         in
-         let a = run 1 and b = run 1 and c = run 4 in
-         check_same_outcome "sampled rerun" a b;
-         check_same_outcome "sampled -j1 vs -j4" a c;
-         a))
+  let run jobs =
+    fst
+      (run_driver ~cfg:(sampled_cfg ~block_jobs:jobs ()) ~src:skewed_src
+         drive_skewed)
+  in
+  let a = run 1 and b = run 1 and c = run 4 in
+  check_same_outcome "sampled rerun" a b;
+  check_same_outcome "sampled -j1 vs -j4" a c;
+  frozen "skewed sampled" a
 
 let test_sampling_triggers () =
   let o, dev =

@@ -228,19 +228,14 @@ let determinism_suite =
                 (Tenancy.Report.run ~pool test_cell test_traffic))
         in
         Alcotest.(check string) "-j levels agree" (at 1) (at 4));
-    t "both engines produce the identical experiment artifact" (fun () ->
-        let under engine =
-          let cell =
-            { test_cell with sm_cfg = { Gpusim.Config.default with engine } }
-          in
-          Tenancy.Report.json_of_result (Tenancy.Report.run cell test_traffic)
+    t "experiment artifact matches its frozen digest" (fun () ->
+        let json =
+          Tenancy.Report.json_of_result
+            (Tenancy.Report.run test_cell test_traffic)
         in
-        let closure = under Gpusim.Config.Closure in
-        Alcotest.(check string) "closure = bytecode" closure
-          (under Gpusim.Config.Bytecode);
         Test_corpus.golden_line ~file:"sim_fixtures.fingerprints"
           ~key:"tenancy: default traffic, fair policy, 8 slots"
-          (Digest.to_hex (Digest.string closure)));
+          (Digest.to_hex (Digest.string json)));
     t "priority bound 1 serializes each tenant's jobs" (fun () ->
         let cell =
           { test_cell with policy = Tenancy.Policy.Priority { bound = 1 } }
